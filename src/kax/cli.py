@@ -181,8 +181,9 @@ def cmd_table(args) -> int:
     if args.format == "json":
         print(json.dumps([group_expr_to_dict(e) for e in exprs]))
     else:
-        for e in exprs:
-            print(f"degree {e.degree}: {render(e, args.format, args.integral)}")
+        # render every row first, so a row that fails leaves no partial table
+        lines = [f"degree {e.degree}: {render(e, args.format, args.integral)}" for e in exprs]
+        print("\n".join(lines))
     return 0
 
 

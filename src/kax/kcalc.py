@@ -8,18 +8,21 @@ swaps the word count for the adjacent-distinct count, the dual-numbers
 variant is d = 1, and the integral variant (finite fields only) adds the
 Z and Z/(q^i - 1) summands of the K-theory of the residue field.
 
-Branch structure, with r the half-degree:
+Branch structure, with r = floor(degree / 2): one loop over the m' that
+have the parity of the degree and, for p odd, are coprime to p.
 
-* p odd, degree 2r:    m' twice a unit mod p, t = t_ev(p, r, m'),
-                       s | m' p^(t-1) even, factor W_(t - v_p(s)).
-* p odd, degree 2r+1:  m' odd coprime to p, t = t_od(p, r, m'),
-                       s | m' p^(t-1), factor W_(t - v_p(s)).
-* p = 2, degree 2r:    m' even, t = t_ev(2, r, m'), s | m' 2^(t-1) even,
-                       factor W_(t - v_2(s)).
-* p = 2, degree 2r+1:  m' odd with m' <= 2r+1, s | m', one factor
-                       W_1 = R per (s, word).
+* even degree 2r:    t = t_ev(p, r, m'), s | m' p^(t-1) even,
+                     factor W_(t - v_p(s)).
+* odd degree 2r+1:   t = t_od(p, r, m'), s | m' p^(t-1),
+                     factor W_(t - v_p(s)).
+* p = 2, degree 2r+1, the one special case: s | m', one factor
+                     W_1 = R (nu = 0) per (s, word).
 
-Length-0 Witt factors are pruned throughout.
+A factor depends on the degree only through t, so each (m', t) run of
+factors is built once per dict of runs; table() keeps one dict for all its
+rows, which then share the frozen factors.  The loop emits m' ascending,
+then s ascending, which is the canonical order.  Length-0 Witt factors are
+pruned throughout.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Literal
 
 from .errors import KaxError
-from .numtheory import divisors, in_jp, require_prime, vp
+from .numtheory import divisors, require_prime, vp
 from .tbounds import m_prime_bound, t_ev, t_od
 from .witt import big_witt_order, order_Wn
 from .words import count_aperiodic, count_axes
@@ -181,18 +184,28 @@ def _completeness(ring: RingSpec) -> str:
     return "p-complete"
 
 
-def _witt_factor(
-    ring: RingSpec, length: int, mult: int, m_prime: int, s: int, nu: int | None = None
-) -> GroupFactor:
-    return GroupFactor(
-        "witt",
-        multiplicity=mult,
-        length=length,
-        ring=ring,
-        m_prime=m_prime,
-        s=s,
-        nu=nu,
-    )
+Runs = dict[tuple[int, int], tuple[GroupFactor, ...]]
+
+
+def _run(
+    ring: RingSpec, d: int, counter: Callable[[int, int], int], m_prime: int, t: int, odd: bool
+) -> tuple[GroupFactor, ...]:
+    """The factors of one (m', t) run, s ascending."""
+    p = ring.p
+    p2_odd = odd and p == 2
+    nu = 0 if p2_odd else None
+    run = []
+    for s in divisors(m_prime if p2_odd else m_prime * p ** (t - 1)):
+        if not odd and s % 2:
+            continue
+        length = 1 if p2_odd else t - vp(p, s)
+        if length <= 0:
+            continue
+        mult = counter(s, d)
+        if mult:
+            run.append(GroupFactor("witt", multiplicity=mult, length=length, ring=ring,
+                                   m_prime=m_prime, s=s, nu=nu))
+    return tuple(run)
 
 
 def _assemble_relative(
@@ -200,75 +213,57 @@ def _assemble_relative(
     d: int,
     degree: int,
     counter: Callable[[int, int], int],
+    runs: Runs,
     m_prime_limit: int | None = None,
 ) -> tuple[GroupFactor, ...]:
+    """Witt factors of one degree, canonically ordered.
+
+    runs caches (m', t) runs and must only ever be passed with the same
+    ring, d and counter: m' has the parity of the degree, so (m', t) names
+    one run.
+    """
     p = ring.p
     if d < 1:
         raise ValueError("d must be >= 1")
     if degree <= 0:
         return ()
     bound = m_prime_limit if m_prime_limit is not None else m_prime_bound(p, degree)
+    odd = degree % 2 == 1
+    window = t_od if odd else t_ev
     factors: list[GroupFactor] = []
-    if degree % 2 == 0:
-        r = degree // 2
-        for m_prime in range(2, bound + 1, 2):
-            if p != 2 and not in_jp(p, m_prime):
-                continue
-            t = t_ev(p, r, m_prime)
-            if t == 0:
-                continue
-            for s in divisors(m_prime * p ** (t - 1)):
-                if s % 2 != 0:
-                    continue
-                length = t - vp(p, s)
-                if length <= 0:
-                    continue
-                mult = counter(s, d)
-                if mult == 0:
-                    continue
-                factors.append(_witt_factor(ring, length, mult, m_prime, s))
-    else:
-        r = (degree - 1) // 2
-        for m_prime in range(1, bound + 1, 2):
-            if p != 2 and not in_jp(p, m_prime):
-                continue
-            t = t_od(p, r, m_prime)
-            if t == 0:
-                continue
-            if p == 2:
-                # one W_1 = R factor per divisor of m' and word; see the
-                # module docstring for why this branch is not nu-indexed
-                for s in divisors(m_prime):
-                    mult = counter(s, d)
-                    if mult == 0:
-                        continue
-                    factors.append(_witt_factor(ring, 1, mult, m_prime, s, nu=0))
-            else:
-                for s in divisors(m_prime * p ** (t - 1)):
-                    length = t - vp(p, s)
-                    if length <= 0:
-                        continue
-                    mult = counter(s, d)
-                    if mult == 0:
-                        continue
-                    factors.append(_witt_factor(ring, length, mult, m_prime, s))
-    return tuple(sorted(factors, key=_sort_key))
+    for m_prime in range(2 - odd, bound + 1, 2):
+        if p != 2 and m_prime % p == 0:
+            continue
+        t = window(p, degree // 2, m_prime)
+        if t == 0:
+            continue
+        run = runs.get((m_prime, t))
+        if run is None:
+            run = runs[m_prime, t] = _run(ring, d, counter, m_prime, t, odd)
+        factors.extend(run)
+    return tuple(factors)
+
+
+def _relative(
+    ring: RingSpec, d: int, degree: int, counter: Callable[[int, int], int], runs: Runs,
+    m_prime_limit: int | None = None,
+) -> GroupExpr:
+    factors = _assemble_relative(ring, d, degree, counter, runs, m_prime_limit)
+    return GroupExpr(degree, ring.p, _completeness(ring), factors)
 
 
 def relative_k(
     ring: RingSpec, d: int, degree: int, m_prime_limit: int | None = None
 ) -> GroupExpr:
     """Relative p-adic K-group of the square-zero extension in d variables."""
-    factors = _assemble_relative(ring, d, degree, count_aperiodic, m_prime_limit)
-    return GroupExpr(degree, ring.p, _completeness(ring), factors)
+    return _relative(ring, d, degree, count_aperiodic, {}, m_prime_limit)
 
 
 def axes_relative_k(
     ring: RingSpec, d: int, degree: int, m_prime_limit: int | None = None
 ) -> GroupExpr:
     """Coordinate-axes variant: word counts restricted to adjacent-distinct."""
-    factors = _assemble_relative(ring, d, degree, count_axes, m_prime_limit)
-    return GroupExpr(degree, ring.p, _completeness(ring), factors)
+    return _relative(ring, d, degree, count_axes, {}, m_prime_limit)
 
 
 def dual_numbers_k(ring: RingSpec, degree: int) -> GroupExpr:
@@ -312,6 +307,16 @@ def _quillen_factors(
     return (GroupFactor("cyclic", order=n),)
 
 
+def _integral(
+    ring: RingSpec, d: int, degree: int, convention: str, runs: Runs,
+    m_prime_limit: int | None = None,
+) -> GroupExpr:
+    rel = _assemble_relative(ring, d, degree, count_aperiodic, runs, m_prime_limit)
+    # the free and cyclic Quillen summands sort before every witt factor
+    quillen = _quillen_factors(ring.q, degree, convention)
+    return GroupExpr(degree, ring.p, "integral", quillen + rel)
+
+
 def integral_k_finite_field(
     q: int,
     d: int,
@@ -323,10 +328,7 @@ def integral_k_finite_field(
     if degree < 0:
         raise ValueError("integral K-groups are computed for degree >= 0")
     ring = RingSpec.from_q(q)
-    rel = _assemble_relative(ring, d, degree, count_aperiodic, m_prime_limit)
-    quillen = _quillen_factors(q, degree, quillen_convention)
-    factors = tuple(sorted(quillen + rel, key=_sort_key))
-    return GroupExpr(degree, ring.p, "integral", factors)
+    return _integral(ring, d, degree, quillen_convention, {}, m_prime_limit)
 
 
 def table(
@@ -336,24 +338,20 @@ def table(
     variant: Variant = "square",
     quillen_convention: str = "standard",
 ) -> list[GroupExpr]:
-    """One GroupExpr per degree 0..max_degree."""
+    """One GroupExpr per degree 0..max_degree, sharing one dict of runs."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    out = []
-    for degree in range(max_degree + 1):
-        if variant == "square":
-            out.append(relative_k(ring, d, degree))
-        elif variant == "axes":
-            out.append(axes_relative_k(ring, d, degree))
-        elif variant == "dual":
-            out.append(dual_numbers_k(ring, degree))
-        elif variant == "integral":
-            out.append(
-                integral_k_finite_field(ring.q, d, degree, quillen_convention)
-            )
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    return out
+    runs: Runs = {}
+    degrees = range(max_degree + 1)
+    if variant == "integral":
+        ring = RingSpec.from_q(ring.q)
+        return [_integral(ring, d, n, quillen_convention, runs) for n in degrees]
+    if variant not in ("square", "axes", "dual"):
+        raise ValueError(f"unknown variant {variant!r}")
+    counter = count_axes if variant == "axes" else count_aperiodic
+    if variant == "dual":
+        d = 1
+    return [_relative(ring, d, n, counter, runs) for n in degrees]
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,25 @@ def test_table(capsys):
     ]
 
 
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+def test_table_failing_row_prints_nothing(capsys, monkeypatch, fmt):
+    import kax.cli
+
+    real_render = kax.cli.render
+
+    def render_failing_at_2(expr, *args):
+        if expr.degree == 2:
+            raise ValueError("row 2 cannot be rendered")
+        return real_render(expr, *args)
+
+    monkeypatch.setattr(kax.cli, "render", render_failing_at_2)
+    assert main(["table", "--p", "3", "--d", "1", "--ring", "Fq:3",
+                 "--max-degree", "3", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "row 2 cannot be rendered" in captured.err
+
+
 def test_count_words(capsys):
     assert main(["count-words", "--s", "3", "--d", "2", "--list"]) == 0
     out = capsys.readouterr().out.splitlines()

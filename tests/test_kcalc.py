@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kax.kcalc import (
     RingSpec,
+    _sort_key,
     axes_relative_k,
     dual_numbers_big_witt_order,
     dual_numbers_k,
@@ -178,12 +181,76 @@ def test_w0_never_emitted():
                 assert all(f.length >= 1 for f in e.factors if f.kind == "witt")
 
 
+TABLE_RINGS = ("Fq:2", "Fq:3", "Fq:4", "Fq:9", "Fq:25", "perfectoid:R:3", "zpcycl:5")
+VARIANTS = ("square", "axes", "dual", "integral")
+
+
+def _variants(ring):
+    return VARIANTS[:3] if parse_ring_spec(ring).is_symbolic else VARIANTS
+
+
+# every (ring, variant, d) up to degree 24, which reaches t = 4 at p = 2 and
+# t = 3 at p = 3, and each ring once more up to degree 200
+TABLE_GRID = [
+    (ring, variant, d, 24)
+    for ring in TABLE_RINGS
+    for variant in _variants(ring)
+    for d in range(1, 7)
+] + [
+    ("Fq:2", "square", 2, 200),
+    ("Fq:3", "square", 3, 200),
+    ("Fq:4", "axes", 4, 200),
+    ("Fq:9", "integral", 5, 200),
+    ("Fq:25", "dual", 6, 200),
+    ("perfectoid:R:3", "axes", 6, 200),
+    ("zpcycl:5", "square", 1, 200),
+]
+
+
+def _per_degree(ring, variant, d, degree):
+    if variant == "square":
+        return relative_k(ring, d, degree)
+    if variant == "axes":
+        return axes_relative_k(ring, d, degree)
+    if variant == "dual":
+        return dual_numbers_k(ring, degree)
+    return integral_k_finite_field(ring.q, d, degree)
+
+
+def _assert_table_matches_per_degree(ring_text, variant, d, max_degree):
+    ring = parse_ring_spec(ring_text)
+    rows = table(ring, d, max_degree, variant)
+    assert len(rows) == max_degree + 1
+    for degree, row in enumerate(rows):
+        assert row == _per_degree(ring, variant, d, degree), (ring_text, variant, d, degree)
+
+
+@pytest.mark.parametrize("ring, variant, d, max_degree", TABLE_GRID)
+def test_table_rows_equal_per_degree_functions(ring, variant, d, max_degree):
+    _assert_table_matches_per_degree(ring, variant, d, max_degree)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from(TABLE_RINGS).flatmap(
+        lambda ring: st.tuples(st.just(ring), st.sampled_from(_variants(ring)))
+    ),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=200),
+)
+def test_table_rows_equal_per_degree_functions_property(ring_variant, d, max_degree):
+    _assert_table_matches_per_degree(*ring_variant, d, max_degree)
+
+
 def test_canonical_ordering_and_determinism():
     a = relative_k(F3, 3, 9)
     b = relative_k(F3, 3, 9)
     assert a == b
     keys = [(f.m_prime, f.s) for f in a.factors]
     assert keys == sorted(keys)
+    for ring, variant, d, max_degree in TABLE_GRID:
+        for row in table(parse_ring_spec(ring), d, max_degree, variant):
+            assert row.factors == tuple(sorted(row.factors, key=_sort_key))
 
 
 def test_json_roundtrip():
