@@ -11,7 +11,7 @@ from .kcalc import (
     relative_k,
     table,
 )
-from .tbounds import TWindow, m_prime_bound, t_ev, t_od
+from .tbounds import m_prime_bound, t_ev, t_od
 from .witt import WittRing, big_witt_order, ghost, iso_with_zpn, order_Wn, witt_ring
 from .words import (
     CyclicWord,
@@ -33,7 +33,6 @@ __all__ = [
     "order",
     "relative_k",
     "table",
-    "TWindow",
     "m_prime_bound",
     "t_ev",
     "t_od",

@@ -23,17 +23,22 @@ factors is built once per dict of runs; table() keeps one dict for all its
 rows, which then share the frozen factors.  The loop emits m' ascending,
 then s ascending, which is the canonical order.  Length-0 Witt factors are
 pruned throughout.
+
+Each factor builds its JSON wire entry once (GroupFactor.wire), so rows
+that share a factor also share its entry; group_expr_to_dict returns those
+shared entries, which callers must treat as read-only.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Literal
 
 from .errors import KaxError
 from .numtheory import divisors, require_prime, vp
-from .tbounds import m_prime_bound, t_ev, t_od
+from .tbounds import m_prime_bound, window
 from .witt import big_witt_order, order_Wn
 from .words import count_aperiodic, count_axes
 
@@ -132,6 +137,29 @@ class GroupFactor:
             return None
         return order_Wn(self.ring.p, self.ring.f, self.length)
 
+    @cached_property
+    def wire(self) -> dict:
+        """This factor's JSON wire entry, built on first use.
+
+        The dict is shared by every row and call that serialises this
+        factor: read it, never modify it.  It lives in the instance dict,
+        outside the fields, so ==, hash and repr do not see it.
+        """
+        entry: dict = {"kind": self.kind}
+        if self.kind == "witt":
+            entry["length"] = self.length
+            entry["ring"] = _ring_to_str(self.ring)
+        elif self.kind == "cyclic":
+            entry["order"] = str(self.order)
+        else:
+            entry["rank"] = self.rank
+        entry["multiplicity"] = str(self.multiplicity)
+        if self.m_prime is not None:
+            entry["provenance"] = {"m_prime": self.m_prime, "s": self.s}
+            if self.nu is not None:
+                entry["provenance"]["nu"] = self.nu
+        return entry
+
 
 @dataclass(frozen=True)
 class GroupExpr:
@@ -229,12 +257,12 @@ def _assemble_relative(
         return ()
     bound = m_prime_limit if m_prime_limit is not None else m_prime_bound(p, degree)
     odd = degree % 2 == 1
-    window = t_od if odd else t_ev
     factors: list[GroupFactor] = []
     for m_prime in range(2 - odd, bound + 1, 2):
         if p != 2 and m_prime % p == 0:
             continue
-        t = window(p, degree // 2, m_prime)
+        # the degree is 2r (t_ev) or 2r+1 (t_od); RingSpec checked p
+        t = window(p, degree, m_prime)
         if t == 0:
             continue
         run = runs.get((m_prime, t))
@@ -369,32 +397,17 @@ def _ring_to_str(ring: RingSpec) -> str:
 
 
 def group_expr_to_dict(expr: GroupExpr) -> dict:
-    factors = []
-    for gf in expr.factors:
-        entry: dict = {"kind": gf.kind}
-        if gf.kind == "witt":
-            entry["length"] = gf.length
-            entry["ring"] = _ring_to_str(gf.ring)
-        elif gf.kind == "cyclic":
-            entry["order"] = str(gf.order)
-        else:
-            entry["rank"] = gf.rank
-        entry["multiplicity"] = str(gf.multiplicity)
-        prov = {}
-        if gf.m_prime is not None:
-            prov["m_prime"] = gf.m_prime
-            prov["s"] = gf.s
-            if gf.nu is not None:
-                prov["nu"] = gf.nu
-        if prov:
-            entry["provenance"] = prov
-        factors.append(entry)
+    """The JSON wire form of expr: a fresh top-level dict and factor list.
+
+    The factor entries are the factors' shared GroupFactor.wire dicts, so
+    they are read-only: copy one before changing it.
+    """
     complete = "integral" if expr.completeness.startswith("integral") else "p-complete"
     return {
         "degree": expr.degree,
         "p": expr.p,
         "complete": complete,
-        "factors": factors,
+        "factors": [gf.wire for gf in expr.factors],
     }
 
 

@@ -7,16 +7,15 @@ Both are solved by exact integer scan, no logarithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .numtheory import require_prime
 
 
-def _window(p: int, target: int, m_prime: int) -> int:
-    # unique t >= 1 with m'*p^(t-1) <= target < m'*p^t, else 0
-    require_prime(p)
-    if m_prime < 1:
-        raise ValueError("m_prime must be positive")
+def window(p: int, target: int, m_prime: int) -> int:
+    """Unique t >= 1 with m'*p^(t-1) <= target < m'*p^t, else 0.
+
+    Unchecked: the caller guarantees p prime and m' >= 1 (otherwise the
+    scan need not end).  t_ev and t_od are the checked forms.
+    """
     if target < m_prime:
         return 0
     t = 1
@@ -28,14 +27,22 @@ def _window(p: int, target: int, m_prime: int) -> int:
     return t
 
 
+def _check(p: int, m_prime: int) -> None:
+    require_prime(p)
+    if m_prime < 1:
+        raise ValueError("m_prime must be positive")
+
+
 def t_ev(p: int, r: int, m_prime: int) -> int:
     """Window index for 2r; 0 when 2r < m' (in particular for r <= 0)."""
-    return _window(p, 2 * r, m_prime)
+    _check(p, m_prime)
+    return window(p, 2 * r, m_prime)
 
 
 def t_od(p: int, r: int, m_prime: int) -> int:
     """Window index for 2r+1; 0 when 2r+1 < m'."""
-    return _window(p, 2 * r + 1, m_prime)
+    _check(p, m_prime)
+    return window(p, 2 * r + 1, m_prime)
 
 
 def m_prime_bound(p: int, degree: int) -> int:
@@ -47,18 +54,3 @@ def m_prime_bound(p: int, degree: int) -> int:
     """
     require_prime(p)
     return max(degree, 0)
-
-
-@dataclass(frozen=True)
-class TWindow:
-    """Both window values for a given (p, r, m')."""
-
-    p: int
-    r: int
-    m_prime: int
-    t_ev: int
-    t_od: int
-
-    @classmethod
-    def compute(cls, p: int, r: int, m_prime: int) -> "TWindow":
-        return cls(p, r, m_prime, t_ev(p, r, m_prime), t_od(p, r, m_prime))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -207,6 +208,52 @@ TABLE_GRID = [
 ]
 
 
+# ---------------------------------------------------------------------------
+# JSON wire format against a reference serialiser
+
+
+def _reference_ring_to_str(ring):
+    if ring.kind == "finite_field":
+        return f"Fq:{ring.q}"
+    if ring.kind == "perfect_fp":
+        return f"perfect:{ring.name}:{ring.p}"
+    if ring.kind == "perfectoid":
+        return f"perfectoid:{ring.name}:{ring.p}"
+    return f"zpcycl:{ring.p}"
+
+
+def _reference_to_dict(expr):
+    """The wire format built field by field, a fresh entry per factor."""
+    factors = []
+    for gf in expr.factors:
+        entry = {"kind": gf.kind}
+        if gf.kind == "witt":
+            entry["length"] = gf.length
+            entry["ring"] = _reference_ring_to_str(gf.ring)
+        elif gf.kind == "cyclic":
+            entry["order"] = str(gf.order)
+        else:
+            entry["rank"] = gf.rank
+        entry["multiplicity"] = str(gf.multiplicity)
+        prov = {}
+        if gf.m_prime is not None:
+            prov["m_prime"] = gf.m_prime
+            prov["s"] = gf.s
+            if gf.nu is not None:
+                prov["nu"] = gf.nu
+        if prov:
+            entry["provenance"] = prov
+        factors.append(entry)
+    complete = "integral" if expr.completeness.startswith("integral") else "p-complete"
+    return {"degree": expr.degree, "p": expr.p, "complete": complete, "factors": factors}
+
+
+def _assert_table_json_matches_reference(rows):
+    # key order too, on the whole table as `kax table --format json` writes it
+    want = json.dumps([_reference_to_dict(e) for e in rows])
+    assert json.dumps([group_expr_to_dict(e) for e in rows]) == want
+
+
 def _per_degree(ring, variant, d, degree):
     if variant == "square":
         return relative_k(ring, d, degree)
@@ -218,11 +265,19 @@ def _per_degree(ring, variant, d, degree):
 
 
 def _assert_table_matches_per_degree(ring_text, variant, d, max_degree):
+    """Rows equal the per-degree functions, and both serialise as the
+    reference does, also when serialised a second time from cached entries."""
     ring = parse_ring_spec(ring_text)
     rows = table(ring, d, max_degree, variant)
     assert len(rows) == max_degree + 1
     for degree, row in enumerate(rows):
-        assert row == _per_degree(ring, variant, d, degree), (ring_text, variant, d, degree)
+        cell = (ring_text, variant, d, degree)
+        per_degree = _per_degree(ring, variant, d, degree)
+        assert row == per_degree, cell
+        want = _reference_to_dict(row)
+        for expr in (row, row, per_degree, per_degree):
+            assert group_expr_to_dict(expr) == want, cell
+    _assert_table_json_matches_reference(rows)
 
 
 @pytest.mark.parametrize("ring, variant, d, max_degree", TABLE_GRID)
@@ -270,3 +325,22 @@ def test_multiplicity_serialized_as_string():
     data = group_expr_to_dict(relative_k(F3, 2, 1))
     assert data["factors"][0]["multiplicity"] == "2"
     assert data["complete"] == "integral"
+
+
+def test_wire_cache_leaves_factor_identity_unchanged():
+    factors = (
+        relative_k(F3, 2, 5).factors
+        + relative_k(F2, 2, 3).factors  # p = 2 odd degree: nu = 0
+        + integral_k_finite_field(9, 1, 0).factors  # free
+        + integral_k_finite_field(9, 1, 3).factors  # cyclic
+        + relative_k(RingSpec("perfectoid", 3, name="R"), 2, 3).factors
+    )
+    assert {gf.kind for gf in factors} == {"witt", "cyclic", "free"}
+    assert any(gf.nu is not None for gf in factors)
+    for gf in factors:
+        fresh = dataclasses.replace(gf)
+        before = (hash(gf), repr(gf), dataclasses.asdict(gf))
+        assert gf.wire is gf.wire
+        assert (hash(gf), repr(gf), dataclasses.asdict(gf)) == before
+        assert gf == fresh and hash(gf) == hash(fresh) and repr(gf) == repr(fresh)
+        assert "wire" not in vars(fresh)

@@ -1,6 +1,6 @@
 from math import gcd
 
-from kax.tbounds import TWindow, m_prime_bound, t_ev, t_od
+from kax.tbounds import m_prime_bound, t_ev, t_od
 
 
 def test_t_ev_examples():
@@ -73,8 +73,3 @@ def test_m_prime_bound():
             for m in range(bound + 1, bound + 12):
                 assert t_ev(p, r_ev, m) == 0
                 assert t_od(p, r_od, m) == 0
-
-
-def test_twindow_dataclass():
-    tw = TWindow.compute(3, 1, 1)
-    assert (tw.t_ev, tw.t_od) == (t_ev(3, 1, 1), 2)
