@@ -125,9 +125,6 @@ class GaloisField:
             scale *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 

@@ -31,7 +31,6 @@ shared entries, which callers must treat as read-only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Literal
@@ -409,10 +408,6 @@ def group_expr_to_dict(expr: GroupExpr) -> dict:
         "complete": complete,
         "factors": [gf.wire for gf in expr.factors],
     }
-
-
-def group_expr_to_json(expr: GroupExpr) -> str:
-    return json.dumps(group_expr_to_dict(expr))
 
 
 def group_expr_from_dict(data: dict, ring_hint: RingSpec | None = None) -> GroupExpr:

@@ -1,7 +1,8 @@
 """Brute-force verifiers, independent of the formulas they check.
 
-Every check returns a list of ReportEntry; the package's CI gate is that
-the default grids produce no failures.  The oracles never consult the
+Every check returns a list of ReportEntry.  `kax verify` fails on any
+failed entry; ACCEPT gates 01/03/04/05 run the same suites and pass only
+when every entry passed, none skipped.  The oracles never consult the
 formula under test for their own answer.
 """
 
@@ -199,7 +200,7 @@ def check_witt(
                     )
                 )
             params = {"p": p, "n": n}
-            witness = _ghost_failure(p, n, 25, rng)
+            witness = _ghost_failure(p, n, 30, rng)
             report.append(
                 ReportEntry(
                     "witt-ghost", params, "fail" if witness else "pass", witness
@@ -245,7 +246,7 @@ def check_k1(
 
 
 def check_dual_numbers(p_set=(2, 3, 5), i_max: int = 5) -> list[ReportEntry]:
-    """Big-Witt quotient order law at odd degrees of the dual numbers."""
+    """Order law at odd degrees 2i - 1 of the dual numbers: |W_2i| / |W_i| = p^i."""
     report = []
     for p in p_set:
         ring = RingSpec.finite_field(p, 1)
@@ -253,7 +254,7 @@ def check_dual_numbers(p_set=(2, 3, 5), i_max: int = 5) -> list[ReportEntry]:
             params = {"p": p, "i": i, "degree": 2 * i - 1}
             got = order(relative_k(ring, 1, 2 * i - 1))
             expected = big_witt_order(2 * i, p, 1) // big_witt_order(i, p, 1)
-            if got == expected:
+            if got == expected == p**i:
                 report.append(ReportEntry("dual-numbers-order", params, "pass"))
             else:
                 report.append(
@@ -261,7 +262,7 @@ def check_dual_numbers(p_set=(2, 3, 5), i_max: int = 5) -> list[ReportEntry]:
                         "dual-numbers-order",
                         params,
                         "fail",
-                        witness=f"K order {got} != big Witt quotient {expected}",
+                        witness=f"K order {got}, big Witt quotient {expected}, p^i {p**i}",
                     )
                 )
     return report

@@ -234,20 +234,15 @@ class WittRing:
         return self._eval_all(self._prod, a, b)
 
     def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        # -a is the additive inverse; for p odd it is coordinatewise negation,
-        # for p = 2 we solve by repeated addition of a's negation candidates.
+        # -a is the additive inverse; for p odd it is coordinatewise negation.
+        # For p = 2, S_i = X_i + Y_i + g(X_<i, Y_<i), so with b_<i solved and
+        # b_i = 0 the i-th sum coordinate is a_i + g, and b_i is its negative.
         self._check(a)
         if self.p != 2:
             return tuple(self.field.neg(x) for x in a)
-        # char 2: find b with a + b = 0 by Newton-style coordinate solve
         b = list(self.zero)
         for i in range(self.n):
-            for cand in self.field.elements():
-                b[i] = cand
-                if self.add(a, tuple(b))[: i + 1] == self.zero[: i + 1]:
-                    break
-            else:
-                raise InternalError("no additive inverse found")
+            b[i] = self.field.neg(self.add(a, tuple(b))[i])
         return tuple(b)
 
     def scalar(self, k: int) -> tuple[int, ...]:
@@ -263,11 +258,6 @@ class WittRing:
             if k:
                 a = self.add(a, a)
         return self.neg(out) if neg else out
-
-    def elements(self):
-        from itertools import product
-
-        return (t for t in product(self.field.elements(), repeat=self.n))
 
 
 @lru_cache(maxsize=None)

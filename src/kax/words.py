@@ -11,13 +11,16 @@ the length.  Two counting families live here:
   proper-coloring count of a u-cycle.
 
 Both counts are verified against direct enumeration by the oracle suite.
+Every enumeration runs on one iterative Fredricksen-Kemp-Maier walk over
+the Lyndon words of length s (the least rotations of the period-s
+necklaces), so its stack depth does not grow with s.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterator
 
 from .errors import BudgetExceededError, InternalError
 from .numtheory import divisors, mobius
@@ -142,24 +145,21 @@ def count_axes(s: int, d: int) -> int:
     return total // s
 
 
-def _visit_necklaces(s: int, d: int, visit: Callable[[Word, int], None]) -> None:
-    # Fredricksen-Kemp-Maier generation: visits each necklace of length s
-    # exactly once, in lexicographic order of the canonical (least-rotation)
-    # representative, passing the representative and its period.
-    a = [0] * (s + 1)
-
-    def gen(t: int, p: int) -> None:
-        if t > s:
-            if s % p == 0:
-                visit(tuple(a[1:]), p)
-        else:
-            a[t] = a[t - p]
-            gen(t + 1, p)
-            for j in range(a[t - p] + 1, d):
-                a[t] = j
-                gen(t + 1, t)
-
-    gen(1, 1)
+def _lyndon_words(s: int, d: int) -> Iterator[Word]:
+    # Fredricksen-Kemp-Maier walk in Duval's iterative form: w runs through
+    # the Lyndon words of length <= s on d letters in lexicographic order,
+    # in constant amortised time per word; those of length exactly s are the
+    # least rotations of the period-s necklaces.
+    w = [-1]
+    while w:
+        w[-1] += 1
+        m = len(w)
+        if m == s:
+            yield tuple(w)
+        while len(w) < s:
+            w.append(w[-m])
+        while w and w[-1] == d - 1:
+            w.pop()
 
 
 def _check_budget(s: int, d: int, budget: int | None) -> None:
@@ -179,14 +179,7 @@ def enumerate_aperiodic(s: int, d: int, budget: int | None = None) -> list[Cycli
     if s < 1 or d < 1:
         raise ValueError("enumerate_aperiodic requires s >= 1 and d >= 1")
     _check_budget(s, d, budget)
-    out: list[CyclicWord] = []
-
-    def visit(w: Word, p: int) -> None:
-        if p == s:
-            out.append(CyclicWord(w, p))
-
-    _visit_necklaces(s, d, visit)
-    return out
+    return [CyclicWord(w, s) for w in _lyndon_words(s, d)]
 
 
 def enumerate_axes(s: int, d: int, budget: int | None = None) -> list[CyclicWord]:
@@ -194,14 +187,7 @@ def enumerate_axes(s: int, d: int, budget: int | None = None) -> list[CyclicWord
     if s < 1 or d < 1:
         raise ValueError("enumerate_axes requires s >= 1 and d >= 1")
     _check_budget(s, d, budget)
-    out: list[CyclicWord] = []
-
-    def visit(w: Word, p: int) -> None:
-        if p == s and _is_axes_word(w):
-            out.append(CyclicWord(w, p))
-
-    _visit_necklaces(s, d, visit)
-    return out
+    return [CyclicWord(w, s) for w in _lyndon_words(s, d) if _is_axes_word(w)]
 
 
 def count_by_enumeration(
@@ -215,15 +201,7 @@ def count_by_enumeration(
     if s < 1 or d < 1:
         raise ValueError("count_by_enumeration requires s >= 1 and d >= 1")
     _check_budget(s, d, budget)
-    n = 0
-
-    def visit(w: Word, p: int) -> None:
-        nonlocal n
-        if p == s and (not axes or _is_axes_word(w)):
-            n += 1
-
-    _visit_necklaces(s, d, visit)
-    return n
+    return sum(1 for w in _lyndon_words(s, d) if not axes or _is_axes_word(w))
 
 
 def brute_force_orbits(s: int, d: int, axes: bool = False) -> list[CyclicWord]:

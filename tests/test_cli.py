@@ -110,6 +110,12 @@ def test_count_words(capsys):
     assert json.loads(capsys.readouterr().out) == {"count": "1"}
 
 
+def test_count_words_long_one_letter_list():
+    # s far above the recursion limit, inside the budget since 1^s = 1
+    proc = run_cli("count-words", "--s", "5000", "--d", "1", "--list")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n\n", "")
+
+
 def test_witt_ops(capsys):
     assert main(["witt", "add", "--p", "2", "--n", "2", "1,0", "1,0"]) == 0
     assert capsys.readouterr().out == "0,1\n"

@@ -1,5 +1,3 @@
-from math import gcd
-
 from kax.tbounds import m_prime_bound, t_ev, t_od
 
 
@@ -37,17 +35,6 @@ def test_window_uniqueness():
                     ]
                     assert len(sols) <= 1
                     assert fn(p, r, m) == (sols[0] if sols else 0)
-
-
-def test_t_od_sum_identity():
-    for p in (3, 5, 7):
-        for r in range(0, 51):
-            total = sum(
-                t_od(p, r, m)
-                for m in range(1, 2 * r + 2, 2)
-                if gcd(m, p) == 1
-            )
-            assert total == r + 1, (p, r)
 
 
 def test_monotonicity():
