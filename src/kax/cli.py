@@ -194,7 +194,7 @@ def cmd_count_words(args) -> int:
         count = words.count_aperiodic(args.s, args.d)
     if args.list:
         enum = words.enumerate_axes if args.axes else words.enumerate_aperiodic
-        listed = [str(w) for w in enum(args.s, args.d)]
+        listed = [words.render_word(w.canonical, args.d) for w in enum(args.s, args.d)]
         if args.format == "json":
             print(json.dumps({"count": str(count), "words": listed}))
         else:

@@ -74,18 +74,16 @@ class SquareZeroRing:
             for av in product(range(q), repeat=self.d):
                 yield (a0, av)
 
-    def one_plus_m(self):
-        q = self.field.q
-        for av in product(range(q), repeat=self.d):
-            yield (1, av)
-
 
 def k1_units(p: int, f: int, d: int, budget: int = 10**6) -> int:
     """|1 + m| by exhaustive enumeration, with invertibility verified.
 
     Relative K_1 along a square-zero ideal is the unit group 1 + m; this
     counts it without using the group formula.  Every element of 1 + m is
-    checked to have an inverse (found by scanning 1 + m).
+    checked to have an inverse in 1 + m, witnessed rather than searched
+    for: the walk elem, elem^2, ... stops at the first power equal to 1,
+    which a unit of a finite monoid reaches within |1 + m| = q^d steps, and
+    the power w before it must lie in 1 + m and satisfy elem * w = 1.
     """
     require_prime(p)
     q = p**f
@@ -98,7 +96,12 @@ def k1_units(p: int, f: int, d: int, budget: int = 10**6) -> int:
         if elem[0] != 1:
             continue
         count += 1
-        if not any(ring.mul(elem, w) == one for w in ring.one_plus_m()):
+        w, power = one, elem
+        for _ in range(q**d - 1):
+            if power == one:
+                break
+            w, power = power, ring.mul(power, elem)
+        if w[0] != 1 or ring.mul(elem, w) != one:
             raise InternalError(f"element {elem} of 1 + m has no inverse")
     return count
 

@@ -13,7 +13,10 @@ the length.  Two counting families live here:
 Both counts are verified against direct enumeration by the oracle suite.
 Every enumeration runs on one iterative Fredricksen-Kemp-Maier walk over
 the Lyndon words of length s (the least rotations of the period-s
-necklaces), so its stack depth does not grow with s.
+necklaces), so its stack depth does not grow with s.  For the axes family
+the walk prunes as it goes: it never extends a prefix that holds two
+adjacent equal letters, so it visits only the Lyndon prefixes of axes
+words rather than filtering every Lyndon word afterwards.
 """
 
 from __future__ import annotations
@@ -51,12 +54,14 @@ class CyclicWord:
         return len(self.canonical)
 
     def __str__(self) -> str:
-        return render_word(self.canonical)
+        # the orbit does not know its alphabet, so render on the smallest
+        # one that holds its letters; a listing of one alphabet passes its
+        # size to render_word instead, so that every word takes one form
+        return render_word(self.canonical, max(self.canonical) + 1)
 
 
-def render_word(w: Word) -> str:
+def render_word(w: Word, d: int) -> str:
     """Letters a..z for alphabets up to 26 letters, else dotted integers."""
-    d = max(w) + 1 if w else 1
     if d <= 26:
         return "".join(chr(ord("a") + c) for c in w)
     return ".".join(str(c) for c in w)
@@ -145,19 +150,32 @@ def count_axes(s: int, d: int) -> int:
     return total // s
 
 
-def _lyndon_words(s: int, d: int) -> Iterator[Word]:
+def _lyndon_words(s: int, d: int, axes: bool = False) -> Iterator[Word]:
     # Fredricksen-Kemp-Maier walk in Duval's iterative form: w runs through
     # the Lyndon words of length <= s on d letters in lexicographic order,
     # in constant amortised time per word; those of length exactly s are the
     # least rotations of the period-s necklaces.
+    #
+    # With axes set, the walk never extends a prefix that holds two adjacent
+    # equal letters: a freshly stepped letter equal to its left neighbour is
+    # neither yielded nor extended, and the fill by period stops at the
+    # first such letter; either way that letter is stepped next.  Every
+    # prefix of a prenecklace is a prenecklace and stepping the last letter
+    # of one gives a Lyndon word, so the walk keeps to Lyndon words in the
+    # same order and skips only subtrees in which every word holds an
+    # adjacent repeat.  A word of length s is yielded only when its last
+    # letter also differs from its first, the cyclic wrap.
     w = [-1]
     while w:
         w[-1] += 1
         m = len(w)
-        if m == s:
-            yield tuple(w)
-        while len(w) < s:
-            w.append(w[-m])
+        if not (axes and m > 1 and w[-1] == w[-2]):
+            if m == s and not (axes and w[-1] == w[0]):
+                yield tuple(w)
+            while len(w) < s:
+                w.append(w[-m])
+                if axes and w[-1] == w[-2]:
+                    break
         while w and w[-1] == d - 1:
             w.pop()
 
@@ -187,7 +205,7 @@ def enumerate_axes(s: int, d: int, budget: int | None = None) -> list[CyclicWord
     if s < 1 or d < 1:
         raise ValueError("enumerate_axes requires s >= 1 and d >= 1")
     _check_budget(s, d, budget)
-    return [CyclicWord(w, s) for w in _lyndon_words(s, d) if _is_axes_word(w)]
+    return [CyclicWord(w, s) for w in _lyndon_words(s, d, axes=True)]
 
 
 def count_by_enumeration(
@@ -201,7 +219,7 @@ def count_by_enumeration(
     if s < 1 or d < 1:
         raise ValueError("count_by_enumeration requires s >= 1 and d >= 1")
     _check_budget(s, d, budget)
-    return sum(1 for w in _lyndon_words(s, d) if not axes or _is_axes_word(w))
+    return sum(1 for _ in _lyndon_words(s, d, axes))
 
 
 def brute_force_orbits(s: int, d: int, axes: bool = False) -> list[CyclicWord]:

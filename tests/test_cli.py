@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from kax.cli import main
+from kax.words import enumerate_aperiodic, parse_word
 
 
 def run_cli(*argv):
@@ -108,6 +109,18 @@ def test_count_words(capsys):
     assert main(["count-words", "--s", "2", "--d", "2", "--axes",
                  "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"count": "1"}
+
+
+def test_count_words_list_over_26_letters(capsys):
+    # the form follows the alphabet, not the letters of each word
+    assert main(["count-words", "--s", "2", "--d", "27", "--list",
+                 "--format", "json"]) == 0
+    listed = json.loads(capsys.readouterr().out)["words"]
+    assert len(listed) == 351
+    assert all("." in text for text in listed)
+    assert [parse_word(text, 27) for text in listed] == [
+        x.canonical for x in enumerate_aperiodic(2, 27)
+    ]
 
 
 def test_count_words_long_one_letter_list():

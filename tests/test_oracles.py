@@ -1,7 +1,11 @@
+from itertools import product
+
 import pytest
 
-from kax.errors import BudgetExceededError
+from kax.errors import BudgetExceededError, InternalError
+from kax.numtheory import factor_prime_power
 from kax.oracles import (
+    SquareZeroRing,
     all_passed,
     check_counts,
     check_dual_numbers,
@@ -22,6 +26,41 @@ def test_k1_units_examples():
 def test_k1_units_budget():
     with pytest.raises(BudgetExceededError):
         k1_units(3, 2, 4, budget=10**3)
+
+
+def _k1_units_by_scan(p, f, d):
+    # reference: look for each unit's inverse by scanning all of 1 + m
+    ring = SquareZeroRing(p, f, d)
+    one = ring.one()
+    one_plus_m = [(1, av) for av in product(range(p**f), repeat=d)]
+    for elem in one_plus_m:
+        if not any(ring.mul(elem, w) == one for w in one_plus_m):
+            raise InternalError(f"element {elem} of 1 + m has no inverse")
+    return len(one_plus_m)
+
+
+K1_CELLS = [(q, d) for q in (2, 3, 4, 5) for d in (1, 2)]
+
+
+def test_k1_units_matches_scan():
+    for q, d in K1_CELLS:
+        p, f = factor_prime_power(q)
+        assert k1_units(p, f, d) == _k1_units_by_scan(p, f, d), (q, d)
+
+
+def test_k1_units_rejects_broken_product(monkeypatch):
+    # a product that keeps the left vector leaves no element of 1 + m
+    # outside 1 invertible, so both oracles must refuse it
+    def broken_mul(self, a, b):
+        return (self.field.mul(a[0], b[0]), a[1])
+
+    monkeypatch.setattr(SquareZeroRing, "mul", broken_mul)
+    for q, d in K1_CELLS:
+        p, f = factor_prime_power(q)
+        with pytest.raises(InternalError):
+            k1_units(p, f, d)
+        with pytest.raises(InternalError):
+            _k1_units_by_scan(p, f, d)
 
 
 def test_check_counts_small_grid():

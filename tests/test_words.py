@@ -87,6 +87,41 @@ def test_enumerate_axes_examples():
     assert [str(x) for x in enumerate_axes(2, 2)] == ["ab"]
     assert enumerate_axes(1, 2) == []
     assert enumerate_axes(4, 2) == []
+    # edges of the pruned walk: one letter, two letters, length one
+    for s in range(1, 40):
+        assert enumerate_axes(s, 1) == []
+        assert count_by_enumeration(s, 1, axes=True) == 0
+    for s in range(1, 21):
+        expected = [CyclicWord((0, 1), 2)] if s == 2 else []
+        assert enumerate_axes(s, 2) == expected
+        assert count_by_enumeration(s, 2, axes=True) == len(expected)
+    for d in range(1, 30):
+        assert enumerate_axes(1, d) == []
+        assert count_by_enumeration(1, d, axes=True) == 0
+
+
+def _filtered_lyndon_words(s, d):
+    # reference: the plain Lyndon-word walk with every word of length s
+    # tested for a cyclically adjacent repeat afterwards
+    w = [-1]
+    while w:
+        w[-1] += 1
+        m = len(w)
+        if m == s and all(w[i] != w[(i + 1) % s] for i in range(s)):
+            yield tuple(w)
+        while len(w) < s:
+            w.append(w[-m])
+        while w and w[-1] == d - 1:
+            w.pop()
+
+
+def test_axes_walk_matches_filtered_walk():
+    cells = [(s, d) for d in range(1, 5) for s in range(1, 11)]
+    cells += [(s, d) for d in range(5, 8) for s in range(1, 8)]
+    for s, d in cells:
+        reference = [CyclicWord(x, s) for x in _filtered_lyndon_words(s, d)]
+        assert enumerate_axes(s, d) == reference, (s, d)
+        assert count_by_enumeration(s, d, axes=True) == len(reference), (s, d)
 
 
 def test_enumeration_matches_brute_force():
@@ -128,9 +163,9 @@ def test_budget_env_override(monkeypatch):
 
 
 def test_render_parse_roundtrip():
-    assert render_word((0, 1, 2)) == "abc"
+    assert render_word((0, 1, 2), 3) == "abc"
     assert parse_word("abc", 3) == (0, 1, 2)
     big = tuple(range(30))
-    assert parse_word(render_word(big), 30) == big
+    assert parse_word(render_word(big, 30), 30) == big
     with pytest.raises(ValueError):
         parse_word("abc", 2)
