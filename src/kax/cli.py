@@ -1,17 +1,19 @@
 """Command-line surface.
 
 Subcommands: compute, table, count-words, witt, verify.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error, 3 budget exceeded,
+4 internal error, 141 (128 + SIGPIPE) when the reader closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import kcalc, oracles, words
-from .errors import KaxError
+from .errors import BudgetExceededError, InternalError, KaxError
 from .kcalc import (
     GroupExpr,
     GroupFactor,
@@ -21,7 +23,6 @@ from .kcalc import (
     parse_ring_spec,
 )
 from .numtheory import require_prime
-from .tbounds import t_od
 from .witt import restrict, verschiebung, witt_ring
 
 MAX_DEGREE = 200
@@ -145,16 +146,13 @@ def _compute_one(ring: RingSpec, args, degree: int) -> GroupExpr:
     return kcalc.relative_k(ring, args.d, degree)
 
 
-def _dual_report_lines(ring: RingSpec, degree: int) -> list[str]:
+def _dual_report_lines(ring: RingSpec, expr: GroupExpr) -> list[str]:
+    degree = expr.degree
     lines = []
-    if ring.p != 2 and degree >= 1 and degree % 2 == 1:
-        r = (degree - 1) // 2
-        for m_prime in range(1, degree + 1, 2):
-            if m_prime % ring.p == 0:
-                continue
-            h = t_od(ring.p, r, m_prime)
-            if h > 0:
-                lines.append(f"h({m_prime}) = {h}")
+    if ring.p != 2 and degree % 2 == 1:
+        # at odd degree and p odd the factors with s = 1 are one per m',
+        # each of length t_od
+        lines = [f"h({gf.m_prime}) = {gf.length}" for gf in expr.factors if gf.s == 1]
     bw = kcalc.dual_numbers_big_witt_order(ring, degree)
     if bw is not None:
         i = (degree + 1) // 2
@@ -168,7 +166,7 @@ def cmd_compute(args) -> int:
     expr = _compute_one(ring, args, args.degree)
     print(render(expr, args.format, integral=args.integral))
     if args.variant == "dual" and args.format == "text":
-        for line in _dual_report_lines(ring, args.degree):
+        for line in _dual_report_lines(ring, expr):
             print(line)
     return 0
 
@@ -322,7 +320,22 @@ def main(argv: list[str] | None = None) -> int:
         # argparse uses exit code 2 for usage errors already
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, with SIGPIPE's status, and
+        # point stdout at devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    except BudgetExceededError as exc:
+        print(f"error: budget exceeded: {exc}", file=sys.stderr)
+        return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (KaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,8 +8,8 @@ swaps the word count for the adjacent-distinct count, the dual-numbers
 variant is d = 1, and the integral variant (finite fields only) adds the
 Z and Z/(q^i - 1) summands of the K-theory of the residue field.
 
-Branch structure, with r = floor(degree / 2): one loop over the m' that
-have the parity of the degree and, for p odd, are coprime to p.
+Branch structure, with r = floor(degree / 2): the factors range over the
+m' that have the parity of the degree and, for p odd, are coprime to p.
 
 * even degree 2r:    t = t_ev(p, r, m'), s | m' p^(t-1) even,
                      factor W_(t - v_p(s)).
@@ -18,11 +18,15 @@ have the parity of the degree and, for p odd, are coprime to p.
 * p = 2, degree 2r+1, the one special case: s | m', one factor
                      W_1 = R (nu = 0) per (s, word).
 
-A factor depends on the degree only through t, so each (m', t) run of
-factors is built once per dict of runs; table() keeps one dict for all its
-rows, which then share the frozen factors.  The loop emits m' ascending,
-then s ascending, which is the canonical order.  Length-0 Witt factors are
-pruned throughout.
+A factor depends on the degree only through the window t, and m' has
+window t at degree n exactly when n // p^t < m' <= n // p^(t-1).  So one
+assembly path, _assemble_rows, serves table() and every single-degree
+function: each (parity, t) strip concatenates its (m', t) runs, m'
+ascending, and grows as the degrees rise; row n is at most
+floor(log_p n) + 1 strip slices, taken t descending, which is m'
+ascending, then s ascending: the canonical order.  The rows of one
+table() share the frozen factors.  Length-0 Witt factors are pruned
+throughout.
 
 Each factor builds its JSON wire entry once (GroupFactor.wire), so rows
 that share a factor also share its entry; group_expr_to_dict returns those
@@ -33,11 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Literal
 
 from .errors import KaxError
-from .numtheory import divisors, require_prime, vp
-from .tbounds import m_prime_bound, window
+from .numtheory import divisors, require_prime
 from .witt import big_witt_order, order_Wn
 from .words import count_aperiodic, count_axes
 
@@ -211,9 +215,6 @@ def _completeness(ring: RingSpec) -> str:
     return "p-complete"
 
 
-Runs = dict[tuple[int, int], tuple[GroupFactor, ...]]
-
-
 def _run(
     ring: RingSpec, d: int, counter: Callable[[int, int], int], m_prime: int, t: int, odd: bool
 ) -> tuple[GroupFactor, ...]:
@@ -225,7 +226,11 @@ def _run(
     for s in divisors(m_prime if p2_odd else m_prime * p ** (t - 1)):
         if not odd and s % 2:
             continue
-        length = 1 if p2_odd else t - vp(p, s)
+        # length t - v_p(s), or 1 in the p = 2 odd case; RingSpec checked p
+        length, u = (1, 1) if p2_odd else (t, s)
+        while u % p == 0:
+            u //= p
+            length -= 1
         if length <= 0:
             continue
         mult = counter(s, d)
@@ -235,62 +240,80 @@ def _run(
     return tuple(run)
 
 
-def _assemble_relative(
+def _assemble_rows(
     ring: RingSpec,
     d: int,
-    degree: int,
+    degrees: range,
     counter: Callable[[int, int], int],
-    runs: Runs,
     m_prime_limit: int | None = None,
-) -> tuple[GroupFactor, ...]:
-    """Witt factors of one degree, canonically ordered.
+) -> list[tuple[GroupFactor, ...]]:
+    """Witt factors of each degree, canonically ordered.
 
-    runs caches (m', t) runs and must only ever be passed with the same
-    ring, d and counter: m' has the parity of the degree, so (m', t) names
-    one run.
+    Row n joins, t descending, the runs (m', t) with m' of n's parity
+    (coprime to p when p is odd) and n // p^t < m' <= n // p^(t-1), capped
+    at m_prime_limit: these are exactly the m' whose window at n is t, so
+    the row comes out m' ascending.  Each (parity, t) strip holds its runs
+    m' ascending, with the offset at which each m' starts; both bounds
+    only grow with n, so over ascending degrees a strip is only ever
+    extended, and a row is one slice of each strip it meets.
     """
-    p = ring.p
     if d < 1:
         raise ValueError("d must be >= 1")
-    if degree <= 0:
-        return ()
-    bound = m_prime_limit if m_prime_limit is not None else m_prime_bound(p, degree)
-    odd = degree % 2 == 1
-    factors: list[GroupFactor] = []
-    for m_prime in range(2 - odd, bound + 1, 2):
-        if p != 2 and m_prime % p == 0:
-            continue
-        # the degree is 2r (t_ev) or 2r+1 (t_od); RingSpec checked p
-        t = window(p, degree, m_prime)
-        if t == 0:
-            continue
-        run = runs.get((m_prime, t))
-        if run is None:
-            run = runs[m_prime, t] = _run(ring, d, counter, m_prime, t, odd)
-        factors.extend(run)
-    return tuple(factors)
+    p = ring.p
+    # (parity, t) -> (first m', factors, offsets); the run of
+    # m' = first + 2i starts at factors[offsets[i]]
+    strips: dict[tuple[int, int], tuple[int, list[GroupFactor], list[int]]] = {}
+    rows = []
+    for n in degrees:
+        parity = n % 2
+        hi_cap = n if m_prime_limit is None else min(n, m_prime_limit)
+        slices: list[list[GroupFactor]] = []
+        t = 1
+        power = 1  # p^(t-1)
+        while power <= n:
+            hi = min(n // power, hi_cap)
+            power *= p
+            lo = n // power + 1
+            lo += (lo - parity) % 2  # the first m' > n // p^t of n's parity
+            if lo <= hi:
+                strip = strips.get((parity, t))
+                if strip is None:
+                    strip = strips[parity, t] = (lo, [], [])
+                first, factors, offsets = strip
+                m_prime = first + 2 * len(offsets)
+                while m_prime <= hi:
+                    offsets.append(len(factors))
+                    if p == 2 or m_prime % p:
+                        factors.extend(_run(ring, d, counter, m_prime, t, parity == 1))
+                    m_prime += 2
+                # the strip ends at hi, so the slice runs to its end
+                slices.append(factors[offsets[(lo - first) // 2]:])
+            t += 1
+        rows.append(tuple(chain.from_iterable(reversed(slices))))
+    return rows
 
 
-def _relative(
-    ring: RingSpec, d: int, degree: int, counter: Callable[[int, int], int], runs: Runs,
+def _relative_rows(
+    ring: RingSpec, d: int, degrees: range, counter: Callable[[int, int], int],
     m_prime_limit: int | None = None,
-) -> GroupExpr:
-    factors = _assemble_relative(ring, d, degree, counter, runs, m_prime_limit)
-    return GroupExpr(degree, ring.p, _completeness(ring), factors)
+) -> list[GroupExpr]:
+    completeness = _completeness(ring)
+    rows = _assemble_rows(ring, d, degrees, counter, m_prime_limit)
+    return [GroupExpr(n, ring.p, completeness, row) for n, row in zip(degrees, rows)]
 
 
 def relative_k(
     ring: RingSpec, d: int, degree: int, m_prime_limit: int | None = None
 ) -> GroupExpr:
     """Relative p-adic K-group of the square-zero extension in d variables."""
-    return _relative(ring, d, degree, count_aperiodic, {}, m_prime_limit)
+    return _relative_rows(ring, d, range(degree, degree + 1), count_aperiodic, m_prime_limit)[0]
 
 
 def axes_relative_k(
     ring: RingSpec, d: int, degree: int, m_prime_limit: int | None = None
 ) -> GroupExpr:
     """Coordinate-axes variant: word counts restricted to adjacent-distinct."""
-    return _relative(ring, d, degree, count_axes, {}, m_prime_limit)
+    return _relative_rows(ring, d, range(degree, degree + 1), count_axes, m_prime_limit)[0]
 
 
 def dual_numbers_k(ring: RingSpec, degree: int) -> GroupExpr:
@@ -334,14 +357,16 @@ def _quillen_factors(
     return (GroupFactor("cyclic", order=n),)
 
 
-def _integral(
-    ring: RingSpec, d: int, degree: int, convention: str, runs: Runs,
+def _integral_rows(
+    ring: RingSpec, d: int, degrees: range, convention: str,
     m_prime_limit: int | None = None,
-) -> GroupExpr:
-    rel = _assemble_relative(ring, d, degree, count_aperiodic, runs, m_prime_limit)
+) -> list[GroupExpr]:
+    rows = _assemble_rows(ring, d, degrees, count_aperiodic, m_prime_limit)
     # the free and cyclic Quillen summands sort before every witt factor
-    quillen = _quillen_factors(ring.q, degree, convention)
-    return GroupExpr(degree, ring.p, "integral", quillen + rel)
+    return [
+        GroupExpr(n, ring.p, "integral", _quillen_factors(ring.q, n, convention) + row)
+        for n, row in zip(degrees, rows)
+    ]
 
 
 def integral_k_finite_field(
@@ -355,7 +380,7 @@ def integral_k_finite_field(
     if degree < 0:
         raise ValueError("integral K-groups are computed for degree >= 0")
     ring = RingSpec.from_q(q)
-    return _integral(ring, d, degree, quillen_convention, {}, m_prime_limit)
+    return _integral_rows(ring, d, range(degree, degree + 1), quillen_convention, m_prime_limit)[0]
 
 
 def table(
@@ -365,20 +390,19 @@ def table(
     variant: Variant = "square",
     quillen_convention: str = "standard",
 ) -> list[GroupExpr]:
-    """One GroupExpr per degree 0..max_degree, sharing one dict of runs."""
+    """One GroupExpr per degree 0..max_degree, sliced from shared strips."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    runs: Runs = {}
     degrees = range(max_degree + 1)
     if variant == "integral":
         ring = RingSpec.from_q(ring.q)
-        return [_integral(ring, d, n, quillen_convention, runs) for n in degrees]
+        return _integral_rows(ring, d, degrees, quillen_convention)
     if variant not in ("square", "axes", "dual"):
         raise ValueError(f"unknown variant {variant!r}")
     counter = count_axes if variant == "axes" else count_aperiodic
     if variant == "dual":
         d = 1
-    return [_relative(ring, d, n, counter, runs) for n in degrees]
+    return _relative_rows(ring, d, degrees, counter)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import BudgetExceededError, InternalError
@@ -120,6 +121,8 @@ def canonicalize(w: Word) -> CyclicWord:
     return CyclicWord(least_rotation(w), period(w))
 
 
+# both counts are pure in (s, d), and every run and table asks for them again
+@lru_cache(maxsize=4096)
 def count_aperiodic(s: int, d: int) -> int:
     """Number of cyclic words of length s on d letters with period exactly s.
 
@@ -140,6 +143,7 @@ def _cycle_colorings(u: int, d: int) -> int:
     return (d - 1) ** u + (-1) ** u * (d - 1)
 
 
+@lru_cache(maxsize=4096)
 def count_axes(s: int, d: int) -> int:
     """Period-exactly-s cyclic words with no two cyclically adjacent equal letters."""
     if s < 1 or d < 1:

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from kax.cli import main
+from kax.errors import InternalError
+from kax.tbounds import t_od
 from kax.words import enumerate_aperiodic, parse_word
 
 
@@ -62,6 +65,24 @@ def test_compute_dual_report(capsys):
     assert out[0] == "W_2(F_3) (order 9)"
     assert "h(1) = 2" in out
     assert out[-1] == "big Witt check: |W_4|/|W_2| = 9"
+
+
+@pytest.mark.parametrize("extra, degrees", [
+    ([], (1, 3, 9, 15, 27, 45)),
+    # --integral keeps --d, so the factors also hold words of length s > 1
+    (["--d", "2", "--integral"], (1, 3, 7, 9)),
+])
+def test_compute_dual_report_lists_every_window(capsys, extra, degrees):
+    # one line h(m') = t_od per odd m' coprime to p, as the windows give it
+    for p, q in ((3, 3), (3, 9), (5, 25)):
+        for degree in degrees:
+            argv = ["compute", "--p", str(p), "--ring", f"Fq:{q}", "--degree", str(degree),
+                    "--variant", "dual"]
+            assert main(argv + extra) == 0
+            out = capsys.readouterr().out.splitlines()
+            r = (degree - 1) // 2
+            want = [f"h({m}) = {t_od(p, r, m)}" for m in range(1, degree + 1, 2) if m % p]
+            assert out[1:-1] == want, (p, q, degree)
 
 
 def test_compute_symbolic_ring(capsys):
@@ -162,6 +183,55 @@ def test_usage_errors(capsys):
     assert main(["verify", "bogus"]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_budget_exceeded_has_its_own_exit_code(capsys, monkeypatch):
+    monkeypatch.delenv("KAX_BUDGET", raising=False)
+    assert main(["count-words", "--s", "12", "--d", "4", "--list"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: budget exceeded: enumeration of 4^12 words")
+
+
+def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
+    import kax.cli
+
+    def broken(*args):
+        raise InternalError("Mobius sum 7 not divisible by s=2")
+
+    monkeypatch.setattr(kax.cli.kcalc, "relative_k", broken)
+    assert main(["compute", "--p", "3", "--d", "2", "--ring", "Fq:3", "--degree", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: Mobius sum 7 not divisible by s=2\n"
+
+
+def test_reader_closing_a_large_output_ends_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kax", "table", "--p", "2", "--d", "6", "--ring", "Fq:2",
+         "--max-degree", "200", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(200)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert len(head) == 200
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_write_into_a_closed_pipe_ends_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kax", "compute", "--p", "3", "--d", "2", "--ring", "Fq:3",
+             "--degree", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_verify_exit_zero():

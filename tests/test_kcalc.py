@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kax.kcalc import (
+    GroupExpr,
+    GroupFactor,
     RingSpec,
     _sort_key,
     axes_relative_k,
@@ -20,6 +22,9 @@ from kax.kcalc import (
     relative_k,
     table,
 )
+from kax.numtheory import divisors, vp
+from kax.tbounds import t_ev, t_od
+from kax.words import count_aperiodic, count_axes
 
 F2 = RingSpec.finite_field(2)
 F3 = RingSpec.finite_field(3)
@@ -295,6 +300,85 @@ def test_table_rows_equal_per_degree_functions(ring, variant, d, max_degree):
 )
 def test_table_rows_equal_per_degree_functions_property(ring_variant, d, max_degree):
     _assert_table_matches_per_degree(*ring_variant, d, max_degree)
+
+
+# ---------------------------------------------------------------------------
+# assembly against an independent per-(degree, m') loop
+
+
+def _reference_witt_factors(ring, d, degree, counter):
+    """One window per (degree, m') and a fresh factor per (m', s): no run
+    is shared between degrees, and m' is bounded by the degree itself."""
+    p = ring.p
+    if degree <= 0:
+        return ()
+    odd = degree % 2
+    window = t_od if odd else t_ev
+    factors = []
+    for m_prime in range(2 - odd, degree + 1, 2):
+        if p != 2 and m_prime % p == 0:
+            continue
+        t = window(p, degree // 2, m_prime)
+        if t == 0:
+            continue
+        if odd and p == 2:
+            # the p = 2 odd-degree case: s | m', one W_1 per word, nu = 0
+            cells = [(s, 1, 0) for s in divisors(m_prime)]
+        else:
+            cells = [(s, t - vp(p, s), None) for s in divisors(m_prime * p ** (t - 1))
+                     if odd or s % 2 == 0]
+        for s, length, nu in cells:
+            mult = counter(s, d)
+            if length > 0 and mult:
+                factors.append(GroupFactor("witt", multiplicity=mult, length=length, ring=ring,
+                                           m_prime=m_prime, s=s, nu=nu))
+    return tuple(factors)
+
+
+def _reference_expr(ring, variant, d, degree):
+    counter = count_axes if variant == "axes" else count_aperiodic
+    if variant == "dual":
+        d = 1
+    witt = _reference_witt_factors(ring, d, degree, counter)
+    if variant != "integral":
+        complete = ("integral-because-p-power-torsion"
+                    if ring.kind in ("finite_field", "perfect_fp") else "p-complete")
+        return GroupExpr(degree, ring.p, complete, witt)
+    quillen = ()
+    if degree == 0:
+        quillen = (GroupFactor("free", rank=1),)
+    elif degree % 2 and ring.q ** ((degree + 1) // 2) > 2:
+        quillen = (GroupFactor("cyclic", order=ring.q ** ((degree + 1) // 2) - 1),)
+    return GroupExpr(degree, ring.p, "integral", quillen + witt)
+
+
+@pytest.mark.parametrize("ring, variant, d, max_degree", TABLE_GRID)
+def test_table_rows_equal_reference_assembly(ring, variant, d, max_degree):
+    spec = parse_ring_spec(ring)
+    rows = table(spec, d, max_degree, variant)
+    for degree, row in enumerate(rows):
+        assert row == _reference_expr(spec, variant, d, degree), (ring, variant, d, degree)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9))
+def test_per_degree_functions_equal_reference_assembly_with_limits(q):
+    ring = RingSpec.from_q(q)
+    functions = {
+        "square": lambda d, degree, limit: relative_k(ring, d, degree, limit),
+        "axes": lambda d, degree, limit: axes_relative_k(ring, d, degree, limit),
+        "integral": lambda d, degree, limit: integral_k_finite_field(
+            q, d, degree, m_prime_limit=limit),
+    }
+    for d in (1, 2, 3):
+        for degree in range(91):
+            for variant, function in functions.items():
+                full = _reference_expr(ring, variant, d, degree)
+                for limit in {0, 1, degree // 3, degree - 1, degree, 2 * degree}:
+                    # a limit keeps the factors with m' <= limit, the Quillen
+                    # summands (no m') always
+                    want = dataclasses.replace(full, factors=tuple(
+                        f for f in full.factors if f.m_prime is None or f.m_prime <= limit))
+                    assert function(d, degree, limit) == want, (q, variant, d, degree, limit)
 
 
 def test_canonical_ordering_and_determinism():
