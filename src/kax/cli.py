@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import kcalc, oracles, words
-from .errors import BudgetExceededError, InternalError, KaxError
+from .errors import BudgetExceededError, InternalError, KaxError, digit_limit_error
 from .kcalc import (
     GroupExpr,
     GroupFactor,
@@ -112,7 +112,7 @@ def _add_common_compute_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--variant", choices=["square", "axes", "dual"], default="square"
     )
-    sub.add_argument("--integral", action="store_true", help="include the K(F_q) summand (finite fields only)")
+    sub.add_argument("--integral", action="store_true", help="include the K(F_q) summand (finite fields, square variant only)")
     sub.add_argument(
         "--quillen-exponent", choices=["standard", "paper"], default="standard"
     )
@@ -126,6 +126,8 @@ def _resolve_ring(args) -> RingSpec:
         raise KaxError(f"ring {args.ring} has p={ring.p}, but --p {args.p} given")
     if args.integral and ring.kind != "finite_field":
         raise KaxError("--integral requires a finite field ring (Fq:<q>)")
+    if args.integral and args.variant != "square":
+        raise KaxError(f"--integral cannot be combined with --variant {args.variant}")
     return ring
 
 
@@ -190,19 +192,24 @@ def cmd_count_words(args) -> int:
         count = words.count_axes(args.s, args.d)
     else:
         count = words.count_aperiodic(args.s, args.d)
+    try:
+        count_text = str(count)
+    except ValueError as exc:
+        raise digit_limit_error(
+            f"the count of words of length {args.s} on {args.d} letters") from exc
     if args.list:
         enum = words.enumerate_axes if args.axes else words.enumerate_aperiodic
         listed = [words.render_word(w.canonical, args.d) for w in enum(args.s, args.d)]
         if args.format == "json":
-            print(json.dumps({"count": str(count), "words": listed}))
+            print(json.dumps({"count": count_text, "words": listed}))
         else:
-            print(count)
+            print(count_text)
             print(" ".join(listed))
     else:
         if args.format == "json":
-            print(json.dumps({"count": str(count)}))
+            print(json.dumps({"count": count_text}))
         else:
-            print(count)
+            print(count_text)
     return 0
 
 

@@ -28,9 +28,14 @@ ascending, then s ascending: the canonical order.  The rows of one
 table() share the frozen factors.  Length-0 Witt factors are pruned
 throughout.
 
-Each factor builds its JSON wire entry once (GroupFactor.wire), so rows
-that share a factor also share its entry; group_expr_to_dict returns those
-shared entries, which callers must treat as read-only.
+Assembly builds each Witt factor together with its JSON wire entry in
+one direct construction (GroupFactor._witt); a factor made by __init__
+(the Quillen summands, group_expr_from_dict) builds its entry on first
+use of GroupFactor.wire.  Both go through _wire_entry, the one entry
+format, where an integer too long for the interpreter's int-to-str limit
+is a budget error.  Rows that share a factor also share its entry;
+group_expr_to_dict returns those shared entries, which callers must treat
+as read-only.
 """
 
 from __future__ import annotations
@@ -38,9 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, Literal
 
-from .errors import KaxError
+from .errors import KaxError, digit_limit_error
 from .numtheory import divisors, require_prime
 from .witt import big_witt_order, order_Wn
 from .words import count_aperiodic, count_axes
@@ -146,22 +152,31 @@ class GroupFactor:
 
         The dict is shared by every row and call that serialises this
         factor: read it, never modify it.  It lives in the instance dict,
-        outside the fields, so ==, hash and repr do not see it.
+        outside the fields, so ==, hash and repr do not see it.  Factors
+        made by assembly come with it already there (see _witt).
         """
-        entry: dict = {"kind": self.kind}
-        if self.kind == "witt":
-            entry["length"] = self.length
-            entry["ring"] = _ring_to_str(self.ring)
-        elif self.kind == "cyclic":
-            entry["order"] = str(self.order)
-        else:
-            entry["rank"] = self.rank
-        entry["multiplicity"] = str(self.multiplicity)
-        if self.m_prime is not None:
-            entry["provenance"] = {"m_prime": self.m_prime, "s": self.s}
-            if self.nu is not None:
-                entry["provenance"]["nu"] = self.nu
-        return entry
+        ring_text = None if self.ring is None else _ring_to_str(self.ring)
+        return _wire_entry(self.kind, self.multiplicity, self.length, ring_text,
+                           self.order, self.rank, self.m_prime, self.s, self.nu)
+
+    @classmethod
+    def _witt(cls, multiplicity: int, length: int, ring: RingSpec, ring_text: str,
+              m_prime: int, s: int, nu: int | None) -> "GroupFactor":
+        """A witt factor and its wire entry in one construction.
+
+        Fills the instance dict directly, as copy and pickle restore an
+        instance: the nine fields in declaration order, then the wire entry
+        that the wire property would otherwise build on first use.  The
+        result equals GroupFactor("witt", ...) with the same fields.
+        """
+        gf = object.__new__(cls)
+        object.__setattr__(gf, "__dict__", {
+            "kind": "witt", "multiplicity": multiplicity, "length": length, "ring": ring,
+            "order": None, "rank": None, "m_prime": m_prime, "s": s, "nu": nu,
+            "wire": _wire_entry("witt", multiplicity, length, ring_text, None, None,
+                                m_prime, s, nu),
+        })
+        return gf
 
 
 @dataclass(frozen=True)
@@ -216,10 +231,12 @@ def _completeness(ring: RingSpec) -> str:
 
 
 def _run(
-    ring: RingSpec, d: int, counter: Callable[[int, int], int], m_prime: int, t: int, odd: bool
-) -> tuple[GroupFactor, ...]:
+    ring: RingSpec, ring_text: str, d: int, counter: Callable[[int, int], int],
+    m_prime: int, t: int, odd: bool,
+) -> list[GroupFactor]:
     """The factors of one (m', t) run, s ascending."""
     p = ring.p
+    witt = GroupFactor._witt
     p2_odd = odd and p == 2
     nu = 0 if p2_odd else None
     run = []
@@ -235,9 +252,8 @@ def _run(
             continue
         mult = counter(s, d)
         if mult:
-            run.append(GroupFactor("witt", multiplicity=mult, length=length, ring=ring,
-                                   m_prime=m_prime, s=s, nu=nu))
-    return tuple(run)
+            run.append(witt(mult, length, ring, ring_text, m_prime, s, nu))
+    return run
 
 
 def _assemble_rows(
@@ -260,6 +276,7 @@ def _assemble_rows(
     if d < 1:
         raise ValueError("d must be >= 1")
     p = ring.p
+    ring_text = _ring_to_str(ring)
     # (parity, t) -> (first m', factors, offsets); the run of
     # m' = first + 2i starts at factors[offsets[i]]
     strips: dict[tuple[int, int], tuple[int, list[GroupFactor], list[int]]] = {}
@@ -284,7 +301,7 @@ def _assemble_rows(
                 while m_prime <= hi:
                     offsets.append(len(factors))
                     if p == 2 or m_prime % p:
-                        factors.extend(_run(ring, d, counter, m_prime, t, parity == 1))
+                        factors.extend(_run(ring, ring_text, d, counter, m_prime, t, parity == 1))
                     m_prime += 2
                 # the strip ends at hi, so the slice runs to its end
                 slices.append(factors[offsets[(lo - first) // 2]:])
@@ -419,6 +436,34 @@ def _ring_to_str(ring: RingSpec) -> str:
     return f"zpcycl:{ring.p}"
 
 
+def _wire_entry(
+    kind: str, multiplicity: int, length: int | None, ring_text: str | None,
+    order: int | None, rank: int | None, m_prime: int | None, s: int | None, nu: int | None,
+) -> dict:
+    """The JSON wire entry of one factor, from its fields and ring label.
+
+    The integers that JSON cannot hold exactly (multiplicity, cyclic order)
+    go out as decimal strings.  One too long for the interpreter's
+    int-to-str limit is a budget error, not a usage error.
+    """
+    try:
+        mult_text = str(multiplicity)
+        order_text = None if order is None else str(order)
+    except ValueError as exc:
+        where = f" at m'={m_prime}, s={s}" if m_prime is not None else ""
+        raise digit_limit_error(f"an integer of the {kind} factor{where}") from exc
+    if kind == "witt":
+        entry = {"kind": kind, "length": length, "ring": ring_text, "multiplicity": mult_text}
+    elif kind == "cyclic":
+        entry = {"kind": kind, "order": order_text, "multiplicity": mult_text}
+    else:
+        entry = {"kind": kind, "rank": rank, "multiplicity": mult_text}
+    if m_prime is not None:
+        entry["provenance"] = ({"m_prime": m_prime, "s": s} if nu is None
+                               else {"m_prime": m_prime, "s": s, "nu": nu})
+    return entry
+
+
 def group_expr_to_dict(expr: GroupExpr) -> dict:
     """The JSON wire form of expr: a fresh top-level dict and factor list.
 
@@ -430,7 +475,7 @@ def group_expr_to_dict(expr: GroupExpr) -> dict:
         "degree": expr.degree,
         "p": expr.p,
         "complete": complete,
-        "factors": [gf.wire for gf in expr.factors],
+        "factors": list(map(attrgetter("wire"), expr.factors)),
     }
 
 

@@ -8,7 +8,7 @@ import pytest
 from kax.cli import main
 from kax.errors import InternalError
 from kax.tbounds import t_od
-from kax.words import enumerate_aperiodic, parse_word
+from kax.words import count_aperiodic, enumerate_aperiodic, parse_word
 
 
 def run_cli(*argv):
@@ -67,18 +67,13 @@ def test_compute_dual_report(capsys):
     assert out[-1] == "big Witt check: |W_4|/|W_2| = 9"
 
 
-@pytest.mark.parametrize("extra, degrees", [
-    ([], (1, 3, 9, 15, 27, 45)),
-    # --integral keeps --d, so the factors also hold words of length s > 1
-    (["--d", "2", "--integral"], (1, 3, 7, 9)),
-])
-def test_compute_dual_report_lists_every_window(capsys, extra, degrees):
+def test_compute_dual_report_lists_every_window(capsys):
     # one line h(m') = t_od per odd m' coprime to p, as the windows give it
     for p, q in ((3, 3), (3, 9), (5, 25)):
-        for degree in degrees:
+        for degree in (1, 3, 9, 15, 27, 45):
             argv = ["compute", "--p", str(p), "--ring", f"Fq:{q}", "--degree", str(degree),
                     "--variant", "dual"]
-            assert main(argv + extra) == 0
+            assert main(argv) == 0
             out = capsys.readouterr().out.splitlines()
             r = (degree - 1) // 2
             want = [f"h({m}) = {t_od(p, r, m)}" for m in range(1, degree + 1, 2) if m % p]
@@ -191,6 +186,45 @@ def test_budget_exceeded_has_its_own_exit_code(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: budget exceeded: enumeration of 4^12 words")
+
+
+@pytest.mark.parametrize("command", ["compute", "table"])
+@pytest.mark.parametrize("variant", ["axes", "dual"])
+def test_integral_rejects_a_variant(capsys, command, variant):
+    # --integral has no axes or dual form
+    bound = "--degree" if command == "compute" else "--max-degree"
+    assert main([command, "--p", "3", "--d", "2", "--ring", "Fq:3", bound, "3",
+                 "--variant", variant, "--integral"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --integral cannot be combined with --variant {variant}\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "latex", "text"])
+def test_multiplicity_past_the_str_limit_is_a_budget_error(capsys, fmt):
+    assert main(["compute", "--p", "2", "--d", str(10**60), "--ring", "Fq:2",
+                 "--degree", "200", "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: budget exceeded: an integer of the witt factor")
+
+
+def test_large_multiplicities_within_the_str_limit_print(capsys):
+    assert main(["compute", "--p", "2", "--d", str(10**24), "--ring", "Fq:2",
+                 "--degree", "200", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) > 100_000
+    for factor in json.loads(out)["factors"]:
+        s = factor["provenance"]["s"]
+        assert factor["multiplicity"] == str(count_aperiodic(s, 10**24))
+
+
+def test_word_count_past_the_str_limit_is_a_budget_error(capsys):
+    assert main(["count-words", "--s", "20000", "--d", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: budget exceeded: the count of words of length 20000 on 2 letters")
 
 
 def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kax.errors import BudgetExceededError
 from kax.kcalc import (
     GroupExpr,
     GroupFactor,
@@ -428,3 +429,28 @@ def test_wire_cache_leaves_factor_identity_unchanged():
         assert (hash(gf), repr(gf), dataclasses.asdict(gf)) == before
         assert gf == fresh and hash(gf) == hash(fresh) and repr(gf) == repr(fresh)
         assert "wire" not in vars(fresh)
+
+
+def test_assembled_factors_equal_their_init_twins():
+    # assembly builds each witt factor and its wire entry without __init__
+    for ring, variant, d, max_degree in TABLE_GRID:
+        rows = table(parse_ring_spec(ring), d, max_degree, variant)
+        # rows share their factors: check each object once
+        emitted = {id(gf): gf for row in rows for gf in row.factors}
+        for gf in emitted.values():
+            twin = GroupFactor(**{f.name: getattr(gf, f.name) for f in dataclasses.fields(gf)})
+            cell = (ring, variant, d, gf.m_prime, gf.s)
+            assert gf == twin and hash(gf) == hash(twin), cell
+            assert repr(gf) == repr(twin), cell
+            assert dataclasses.asdict(gf) == dataclasses.asdict(twin), cell
+            assert gf.wire == twin.wire, cell
+
+
+def test_integer_past_the_str_limit_is_a_budget_error():
+    # degree 200 has factors with words of length s >= 72, whose counts,
+    # about 10^(60 s) / s, pass the default limit of 4300 digits
+    with pytest.raises(BudgetExceededError, match="decimal digits"):
+        relative_k(F2, 10**60, 200)
+    # a factor built by __init__ meets the same limit on its first wire access
+    with pytest.raises(BudgetExceededError, match="cyclic factor"):
+        GroupFactor("cyclic", order=10**5000).wire
