@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import kcalc, oracles, words
+from . import kcalc, words
 from .errors import BudgetExceededError, InternalError, KaxError, digit_limit_error
 from .kcalc import (
     GroupExpr,
@@ -23,37 +23,46 @@ from .kcalc import (
     parse_ring_spec,
 )
 from .numtheory import require_prime
-from .witt import restrict, verschiebung, witt_ring
+
+# cmd_witt and cmd_verify import witt and oracles themselves, so that
+# compute, table and count-words start without the Witt and field layers
 
 MAX_DEGREE = 200
 
 
 # ---------------------------------------------------------------------------
 # rendering
+#
+# The renderers format integers with str(), whose only ValueError is an
+# integer past the interpreter's int-to-str limit: a budget error, as in the
+# JSON wire entries, not a usage error.
 
 
 def _render_factor_text(gf: GroupFactor, integral: bool) -> str:
-    if gf.kind == "free":
-        base = "Z"
-        mult = gf.rank or 1
-        return base if mult == 1 else f"{base}^{mult}"
-    if gf.kind == "cyclic":
-        base = f"Z/{gf.order}"
-    else:
-        ring = gf.ring
-        if integral and ring.kind == "finite_field":
-            # render W_k(F_q) as the unramified quotient it is isomorphic to
-            if ring.f == 1:
-                base = f"Z/{ring.p ** gf.length}"
-            else:
-                base = f"O_F/{ring.p}^{gf.length}" if gf.length > 1 else f"O_F/{ring.p}"
-        elif gf.length == 1:
-            base = ring.label()
+    try:
+        if gf.kind == "free":
+            base = "Z"
+            mult = gf.rank or 1
+            return base if mult == 1 else f"{base}^{mult}"
+        if gf.kind == "cyclic":
+            base = f"Z/{gf.order}"
         else:
-            base = f"W_{gf.length}({ring.label()})"
-    if gf.multiplicity > 1:
-        return f"{base}^{gf.multiplicity}"
-    return base
+            ring = gf.ring
+            if integral and ring.kind == "finite_field":
+                # render W_k(F_q) as the unramified quotient it is isomorphic to
+                if ring.f == 1:
+                    base = f"Z/{ring.p ** gf.length}"
+                else:
+                    base = f"O_F/{ring.p}^{gf.length}" if gf.length > 1 else f"O_F/{ring.p}"
+            elif gf.length == 1:
+                base = ring.label()
+            else:
+                base = f"W_{gf.length}({ring.label()})"
+        if gf.multiplicity > 1:
+            return f"{base}^{gf.multiplicity}"
+        return base
+    except ValueError as exc:
+        raise kcalc.factor_digit_limit_error(gf.kind, gf.m_prime, gf.s) from exc
 
 
 def render_text(expr: GroupExpr, integral: bool = False) -> str:
@@ -62,7 +71,10 @@ def render_text(expr: GroupExpr, integral: bool = False) -> str:
     body = " x ".join(_render_factor_text(gf, integral) for gf in expr.factors)
     o = order(expr)
     if isinstance(o, int):
-        return f"{body} (order {o})"
+        try:
+            return f"{body} (order {o})"
+        except ValueError as exc:
+            raise digit_limit_error(f"the order of the degree {expr.degree} group") from exc
     return f"{body} ({o} order)" if o == "symbolic" else f"{body} (infinite)"
 
 
@@ -75,16 +87,19 @@ def _latex_ring(ring: RingSpec) -> str:
 
 
 def _render_factor_latex(gf: GroupFactor) -> str:
-    if gf.kind == "free":
-        base = r"\mathbb{Z}"
-        mult = gf.rank or 1
-    elif gf.kind == "cyclic":
-        base = rf"\mathbb{{Z}}/{gf.order}"
-        mult = gf.multiplicity
-    else:
-        base = rf"W_{{{gf.length}}}({_latex_ring(gf.ring)})"
-        mult = gf.multiplicity
-    return base if mult == 1 else rf"{base}^{{{mult}}}"
+    try:
+        if gf.kind == "free":
+            base = r"\mathbb{Z}"
+            mult = gf.rank or 1
+        elif gf.kind == "cyclic":
+            base = rf"\mathbb{{Z}}/{gf.order}"
+            mult = gf.multiplicity
+        else:
+            base = rf"W_{{{gf.length}}}({_latex_ring(gf.ring)})"
+            mult = gf.multiplicity
+        return base if mult == 1 else rf"{base}^{{{mult}}}"
+    except ValueError as exc:
+        raise kcalc.factor_digit_limit_error(gf.kind, gf.m_prime, gf.s) from exc
 
 
 def render_latex(expr: GroupExpr) -> str:
@@ -238,6 +253,8 @@ def _format_coords(vec: tuple[int, ...], f: int, p: int) -> str:
 
 
 def cmd_witt(args) -> int:
+    from .witt import restrict, verschiebung, witt_ring
+
     require_prime(args.p)
     ring = witt_ring(args.p, args.n, args.f)
     a = _parse_coords(args.a, args.n, args.f, args.p)
@@ -257,6 +274,8 @@ def cmd_witt(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracles
+
     try:
         report = oracles.run_suites(args.suite or ["all"])
     except KeyError as exc:

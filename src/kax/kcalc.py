@@ -25,11 +25,11 @@ function: each (parity, t) strip concatenates its (m', t) runs, m'
 ascending, and grows as the degrees rise; row n is at most
 floor(log_p n) + 1 strip slices, taken t descending, which is m'
 ascending, then s ascending: the canonical order.  The rows of one
-table() share the frozen factors.  Length-0 Witt factors are pruned
-throughout.
+table() share their factors, which are read-only named tuples.  Length-0
+Witt factors are pruned throughout.
 
 Assembly builds each Witt factor together with its JSON wire entry in
-one direct construction (GroupFactor._witt); a factor made by __init__
+one direct construction (GroupFactor._witt); a factor made by GroupFactor()
 (the Quillen summands, group_expr_from_dict) builds its entry on first
 use of GroupFactor.wire.  Both go through _wire_entry, the one entry
 format, where an integer too long for the interpreter's int-to-str limit
@@ -40,15 +40,14 @@ as read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, Literal
 
-from .errors import KaxError, digit_limit_error
-from .numtheory import divisors, require_prime
-from .witt import big_witt_order, order_Wn
+from .errors import BudgetExceededError, KaxError, digit_limit_error
+from .numtheory import big_witt_order, divisors, order_Wn, require_prime
 from .words import count_aperiodic, count_axes
 
 Variant = Literal["square", "axes", "dual", "integral"]
@@ -58,17 +57,22 @@ Variant = Literal["square", "axes", "dual", "integral"]
 # ring descriptors
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    """Coefficient ring: finite field or one of the symbolic families."""
+class RingSpec(namedtuple("RingSpec", "kind p f name")):
+    """Coefficient ring: finite field or one of the symbolic families.
 
-    kind: Literal["finite_field", "perfect_fp", "perfectoid", "zp_cyclotomic"]
-    p: int
-    f: int = 1
-    name: str = ""
+    kind is "finite_field", "perfect_fp", "perfectoid" or "zp_cyclotomic".
+    """
 
-    def __post_init__(self):
-        require_prime(self.p)
+    __slots__ = ()
+
+    def __new__(cls, kind: str, p: int, f: int = 1, name: str = "") -> "RingSpec":
+        require_prime(p)
+        return super().__new__(cls, kind, p, f, name)
+
+    @classmethod
+    def _make(cls, iterable) -> "RingSpec":
+        # _replace builds through _make: check p there too
+        return cls(*iterable)
 
     @property
     def is_symbolic(self) -> bool:
@@ -121,19 +125,23 @@ def parse_ring_spec(text: str) -> RingSpec:
 # group expressions
 
 
-@dataclass(frozen=True)
-class GroupFactor:
-    """One factor of a finite(ly generated) abelian group expression."""
+class GroupFactor(namedtuple(
+    "GroupFactor", "kind multiplicity length ring order rank m_prime s nu",
+    defaults=(1, None, None, None, None, None, None, None),
+)):
+    """One factor of a finite(ly generated) abelian group expression.
 
-    kind: Literal["witt", "cyclic", "free"]
-    multiplicity: int = 1
-    length: int | None = None  # witt
-    ring: RingSpec | None = None  # witt
-    order: int | None = None  # cyclic
-    rank: int | None = None  # free
-    m_prime: int | None = None
-    s: int | None = None
-    nu: int | None = None
+    kind is "witt" (length and ring set), "cyclic" (order set) or "free"
+    (rank set); m_prime, s and nu record where assembly found the factor.
+    Read-only: the fields are the tuple's items, and the instance dict
+    holds only the cached wire entry.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroupFactor is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GroupFactor is read-only: cannot delete {name!r}")
 
     def factor_order(self) -> int | None:
         """Order of a single copy, or None if infinite/symbolic."""
@@ -152,7 +160,7 @@ class GroupFactor:
 
         The dict is shared by every row and call that serialises this
         factor: read it, never modify it.  It lives in the instance dict,
-        outside the fields, so ==, hash and repr do not see it.  Factors
+        outside the tuple, so ==, hash and repr do not see it.  Factors
         made by assembly come with it already there (see _witt).
         """
         ring_text = None if self.ring is None else _ring_to_str(self.ring)
@@ -164,29 +172,25 @@ class GroupFactor:
               m_prime: int, s: int, nu: int | None) -> "GroupFactor":
         """A witt factor and its wire entry in one construction.
 
-        Fills the instance dict directly, as copy and pickle restore an
-        instance: the nine fields in declaration order, then the wire entry
-        that the wire property would otherwise build on first use.  The
-        result equals GroupFactor("witt", ...) with the same fields.
+        Builds the tuple of the nine fields directly and puts the wire entry,
+        which the wire property would otherwise build on first use, into
+        the instance dict.  The result equals GroupFactor("witt", ...) with
+        the same fields.
         """
-        gf = object.__new__(cls)
-        object.__setattr__(gf, "__dict__", {
-            "kind": "witt", "multiplicity": multiplicity, "length": length, "ring": ring,
-            "order": None, "rank": None, "m_prime": m_prime, "s": s, "nu": nu,
-            "wire": _wire_entry("witt", multiplicity, length, ring_text, None, None,
-                                m_prime, s, nu),
-        })
+        gf = tuple.__new__(cls, ("witt", multiplicity, length, ring, None, None, m_prime, s, nu))
+        gf.__dict__["wire"] = _wire_entry("witt", multiplicity, length, ring_text, None, None,
+                                          m_prime, s, nu)
         return gf
 
 
-@dataclass(frozen=True)
-class GroupExpr:
-    """Formal finite(ly generated) abelian group, canonically ordered."""
+class GroupExpr(namedtuple("GroupExpr", "degree p completeness factors", defaults=((),))):
+    """Formal finite(ly generated) abelian group, canonically ordered.
 
-    degree: int
-    p: int
-    completeness: str  # "p-complete" | "integral" | "integral-because-p-power-torsion"
-    factors: tuple[GroupFactor, ...] = field(default_factory=tuple)
+    completeness is "p-complete", "integral" or
+    "integral-because-p-power-torsion"; factors is a tuple of GroupFactor.
+    """
+
+    __slots__ = ()
 
     @property
     def is_trivial(self) -> bool:
@@ -436,6 +440,14 @@ def _ring_to_str(ring: RingSpec) -> str:
     return f"zpcycl:{ring.p}"
 
 
+def factor_digit_limit_error(
+    kind: str, m_prime: int | None, s: int | None
+) -> BudgetExceededError:
+    """The budget error for an integer of a factor too long to print."""
+    where = f" at m'={m_prime}, s={s}" if m_prime is not None else ""
+    return digit_limit_error(f"an integer of the {kind} factor{where}")
+
+
 def _wire_entry(
     kind: str, multiplicity: int, length: int | None, ring_text: str | None,
     order: int | None, rank: int | None, m_prime: int | None, s: int | None, nu: int | None,
@@ -450,8 +462,7 @@ def _wire_entry(
         mult_text = str(multiplicity)
         order_text = None if order is None else str(order)
     except ValueError as exc:
-        where = f" at m'={m_prime}, s={s}" if m_prime is not None else ""
-        raise digit_limit_error(f"an integer of the {kind} factor{where}") from exc
+        raise factor_digit_limit_error(kind, m_prime, s) from exc
     if kind == "witt":
         entry = {"kind": kind, "length": length, "ring": ring_text, "multiplicity": mult_text}
     elif kind == "cyclic":
@@ -518,4 +529,4 @@ def group_expr_from_dict(data: dict, ring_hint: RingSpec | None = None) -> Group
 def normalize_for_roundtrip(expr: GroupExpr) -> GroupExpr:
     """Project the completeness tag onto the wire vocabulary."""
     complete = "integral" if expr.completeness.startswith("integral") else "p-complete"
-    return replace(expr, completeness=complete)
+    return expr._replace(completeness=complete)

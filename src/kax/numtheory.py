@@ -1,10 +1,14 @@
 """Exact integer number theory used by the counting and indexing layers.
 
+The orders of the truncated and big Witt groups over F_{p^f} live here
+too: they are prime-power arithmetic, with no Witt vectors in them.
 Everything here is arbitrary-precision; no floating point is used anywhere
 in this package.
 """
 
 from math import gcd, isqrt
+
+from .errors import InternalError
 
 
 def is_prime(n: int) -> bool:
@@ -98,3 +102,38 @@ def factor_prime_power(q: int) -> tuple[int, int]:
                 raise ValueError("not a prime power")
             return p, f
     return q, 1
+
+
+def order_Wn(p: int, f: int, n: int) -> int:
+    """|W_n(F_{p^f})| = p^(n*f); the length-0 group is trivial."""
+    require_prime(p)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return p ** (n * f)
+
+
+def big_witt_order(m: int, p: int, f: int) -> int:
+    """|W_m(F_q)| for the length-m big Witt vectors, q = p^f.
+
+    Uses the splitting of the big Witt group into p-typical pieces indexed
+    by j <= m coprime to p, the j-th of length #{i >= 0 : j*p^i <= m}.
+    The lengths must sum to m, which is asserted.
+    """
+    require_prime(p)
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    total_len = 0
+    order = 1
+    for j in range(1, m + 1):
+        if not in_jp(p, j):
+            continue
+        length = 0
+        jp = j
+        while jp <= m:
+            length += 1
+            jp *= p
+        total_len += length
+        order *= order_Wn(p, f, length)
+    if total_len != m:
+        raise InternalError(f"big Witt splitting lengths sum to {total_len}, not {m}")
+    return order

@@ -15,9 +15,8 @@ from itertools import product
 from .errors import BudgetExceededError, InternalError
 from .fields import galois_field
 from .kcalc import RingSpec, order, relative_k
-from .numtheory import require_prime
+from .numtheory import big_witt_order, require_prime
 from .witt import (
-    big_witt_order,
     eval_poly_int,
     ghost,
     iso_with_zpn,

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceededError, InternalError
 from .fields import GaloisField, galois_field
-from .numtheory import in_jp, require_prime
+from .numtheory import require_prime
 
 # ---------------------------------------------------------------------------
 # sparse integer polynomials: dict mapping exponent tuple -> coefficient
@@ -275,41 +275,6 @@ def restrict(a: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) < 2:
         raise ValueError("restriction needs length >= 2")
     return tuple(a[:-1])
-
-
-def order_Wn(p: int, f: int, n: int) -> int:
-    """|W_n(F_{p^f})| = p^(n*f); the length-0 group is trivial."""
-    require_prime(p)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return p ** (n * f)
-
-
-def big_witt_order(m: int, p: int, f: int) -> int:
-    """|W_m(F_q)| for the length-m big Witt vectors, q = p^f.
-
-    Uses the splitting of the big Witt group into p-typical pieces indexed
-    by j <= m coprime to p, the j-th of length #{i >= 0 : j*p^i <= m}.
-    The lengths must sum to m, which is asserted.
-    """
-    require_prime(p)
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    total_len = 0
-    order = 1
-    for j in range(1, m + 1):
-        if not in_jp(p, j):
-            continue
-        length = 0
-        jp = j
-        while jp <= m:
-            length += 1
-            jp *= p
-        total_len += length
-        order *= order_Wn(p, f, length)
-    if total_len != m:
-        raise InternalError(f"big Witt splitting lengths sum to {total_len}, not {m}")
-    return order
 
 
 def iso_with_zpn(p: int, n: int, budget: int = 3**5) -> dict[int, tuple[int, ...]]:

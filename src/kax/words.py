@@ -22,7 +22,7 @@ words rather than filtering every Lyndon word afterwards.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator
 
@@ -43,12 +43,13 @@ def _budget(budget: int | None) -> int:
     return DEFAULT_BUDGET
 
 
-@dataclass(frozen=True, order=True)
-class CyclicWord:
-    """Rotation orbit of a word, keyed by its least rotation."""
+class CyclicWord(namedtuple("CyclicWord", "canonical period")):
+    """Rotation orbit of a word, keyed by its least rotation.
 
-    canonical: Word
-    period: int
+    Sorts as the tuple (canonical, period).
+    """
+
+    __slots__ = ()
 
     @property
     def length(self) -> int:

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from kax.cli import main
-from kax.errors import InternalError
+from kax.cli import main, render_text
+from kax.errors import BudgetExceededError, InternalError
+from kax.kcalc import GroupExpr, GroupFactor, RingSpec
 from kax.tbounds import t_od
 from kax.words import count_aperiodic, enumerate_aperiodic, parse_word
 
@@ -219,6 +220,34 @@ def test_large_multiplicities_within_the_str_limit_print(capsys):
         assert factor["multiplicity"] == str(count_aperiodic(s, 10**24))
 
 
+@pytest.mark.parametrize("fmt", ["json", "latex", "text"])
+def test_cyclic_order_past_the_str_limit_is_a_budget_error(capsys, fmt):
+    # the Quillen summand Z/(q^100 - 1) of K_199(F_q), q = 2^200, has 6021 digits
+    assert main(["compute", "--p", "2", "--ring", f"Fq:{2**200}", "--integral",
+                 "--degree", "199", "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: budget exceeded: an integer of the cyclic factor has more than")
+
+
+def test_text_order_past_the_str_limit_is_a_budget_error(capsys):
+    # every factor prints, but the order of the whole group does not
+    assert main(["compute", "--p", "3", "--d", "2", "--ring", "Fq:3", "--degree", "20"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: budget exceeded: the order of the degree 20 group has more than")
+
+
+def test_integral_witt_base_past_the_str_limit_is_a_budget_error():
+    # W_k(F_p) renders as Z/p^k in integral text; 2^20000 has 6021 digits
+    gf = GroupFactor("witt", length=20000, ring=RingSpec.finite_field(2), m_prime=1, s=1)
+    expr = GroupExpr(0, 2, "integral", (gf,))
+    with pytest.raises(BudgetExceededError, match="an integer of the witt factor at m'=1, s=1"):
+        render_text(expr, integral=True)
+
+
 def test_word_count_past_the_str_limit_is_a_budget_error(capsys):
     assert main(["count-words", "--s", "20000", "--d", "2"]) == 3
     captured = capsys.readouterr()
@@ -298,3 +327,47 @@ def test_json_output_roundtrips():
     for entry in json.loads(proc.stdout):
         expr = group_expr_from_dict(entry)
         assert group_expr_from_dict(json.loads(json.dumps(entry))) == expr
+
+
+def _run_main_in_fresh_interpreter(*argvs):
+    """Run kax.cli.main on each argv in one new interpreter.
+
+    Returns the exit codes and the modules that importing and running kax
+    loaded (those loaded before it, e.g. by site, do not count).
+    """
+    script = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "from kax.cli import main\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps([codes, sorted(set(sys.modules) - before)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_compute_table_and_count_words_start_without_the_witt_layers():
+    codes, loaded = _run_main_in_fresh_interpreter(
+        ["compute", "--p", "3", "--d", "2", "--ring", "Fq:9", "--degree", "5"],
+        ["table", "--p", "2", "--d", "2", "--ring", "Fq:4", "--max-degree", "8",
+         "--integral", "--format", "json"],
+        ["count-words", "--s", "6", "--d", "2", "--list"],
+    )
+    assert codes == [0, 0, 0]
+    assert "kax.kcalc" in loaded
+    assert not {"dataclasses", "kax.witt", "kax.fields", "kax.oracles"} & set(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["witt", "add", "--p", "2", "--n", "2", "1,0", "1,0"],
+    ["verify", "dual"],
+])
+def test_witt_and_verify_import_their_layers_when_run(argv):
+    codes, loaded = _run_main_in_fresh_interpreter(argv)
+    assert codes == [0]
+    assert "kax.witt" in loaded

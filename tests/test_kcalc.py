@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -25,7 +24,7 @@ from kax.kcalc import (
 )
 from kax.numtheory import divisors, vp
 from kax.tbounds import t_ev, t_od
-from kax.words import count_aperiodic, count_axes
+from kax.words import CyclicWord, canonicalize, count_aperiodic, count_axes
 
 F2 = RingSpec.finite_field(2)
 F3 = RingSpec.finite_field(3)
@@ -377,7 +376,7 @@ def test_per_degree_functions_equal_reference_assembly_with_limits(q):
                 for limit in {0, 1, degree // 3, degree - 1, degree, 2 * degree}:
                     # a limit keeps the factors with m' <= limit, the Quillen
                     # summands (no m') always
-                    want = dataclasses.replace(full, factors=tuple(
+                    want = full._replace(factors=tuple(
                         f for f in full.factors if f.m_prime is None or f.m_prime <= limit))
                     assert function(d, degree, limit) == want, (q, variant, d, degree, limit)
 
@@ -423,26 +422,26 @@ def test_wire_cache_leaves_factor_identity_unchanged():
     assert {gf.kind for gf in factors} == {"witt", "cyclic", "free"}
     assert any(gf.nu is not None for gf in factors)
     for gf in factors:
-        fresh = dataclasses.replace(gf)
-        before = (hash(gf), repr(gf), dataclasses.asdict(gf))
+        fresh = gf._replace()
+        before = (hash(gf), repr(gf), gf._asdict())
         assert gf.wire is gf.wire
-        assert (hash(gf), repr(gf), dataclasses.asdict(gf)) == before
+        assert (hash(gf), repr(gf), gf._asdict()) == before
         assert gf == fresh and hash(gf) == hash(fresh) and repr(gf) == repr(fresh)
         assert "wire" not in vars(fresh)
 
 
 def test_assembled_factors_equal_their_init_twins():
-    # assembly builds each witt factor and its wire entry without __init__
+    # assembly builds each witt factor and its wire entry without GroupFactor()
     for ring, variant, d, max_degree in TABLE_GRID:
         rows = table(parse_ring_spec(ring), d, max_degree, variant)
         # rows share their factors: check each object once
         emitted = {id(gf): gf for row in rows for gf in row.factors}
         for gf in emitted.values():
-            twin = GroupFactor(**{f.name: getattr(gf, f.name) for f in dataclasses.fields(gf)})
+            twin = GroupFactor(**{name: getattr(gf, name) for name in gf._fields})
             cell = (ring, variant, d, gf.m_prime, gf.s)
             assert gf == twin and hash(gf) == hash(twin), cell
             assert repr(gf) == repr(twin), cell
-            assert dataclasses.asdict(gf) == dataclasses.asdict(twin), cell
+            assert gf._asdict() == twin._asdict(), cell
             assert gf.wire == twin.wire, cell
 
 
@@ -451,6 +450,55 @@ def test_integer_past_the_str_limit_is_a_budget_error():
     # about 10^(60 s) / s, pass the default limit of 4300 digits
     with pytest.raises(BudgetExceededError, match="decimal digits"):
         relative_k(F2, 10**60, 200)
-    # a factor built by __init__ meets the same limit on its first wire access
+    # a factor built by GroupFactor() meets the same limit on its first wire access
     with pytest.raises(BudgetExceededError, match="cyclic factor"):
         GroupFactor("cyclic", order=10**5000).wire
+
+
+def test_value_types_keep_their_repr_hash_and_read_only_contract():
+    # the repr strings are those of the frozen dataclasses these types were
+    witt = relative_k(F3, 2, 5).factors[-1]
+    witt_nu = relative_k(F2, 2, 3).factors[-1]
+    cyclic = integral_k_finite_field(9, 1, 3).factors[0]
+    free = integral_k_finite_field(9, 1, 0).factors[0]
+    expr = relative_k(F3, 2, 2)
+    word = canonicalize((1, 0, 1, 1))
+    pinned = {
+        F9: "RingSpec(kind='finite_field', p=3, f=2, name='')",
+        witt: "GroupFactor(kind='witt', multiplicity=6, length=1, ring=RingSpec("
+              "kind='finite_field', p=3, f=1, name=''), order=None, rank=None, "
+              "m_prime=5, s=5, nu=None)",
+        witt_nu: "GroupFactor(kind='witt', multiplicity=2, length=1, ring=RingSpec("
+                 "kind='finite_field', p=2, f=1, name=''), order=None, rank=None, "
+                 "m_prime=3, s=3, nu=0)",
+        cyclic: "GroupFactor(kind='cyclic', multiplicity=1, length=None, ring=None, "
+                "order=80, rank=None, m_prime=None, s=None, nu=None)",
+        free: "GroupFactor(kind='free', multiplicity=1, length=None, ring=None, "
+              "order=None, rank=1, m_prime=None, s=None, nu=None)",
+        expr: "GroupExpr(degree=2, p=3, completeness='integral-because-p-power-torsion', "
+              "factors=(GroupFactor(kind='witt', multiplicity=1, length=1, ring=RingSpec("
+              "kind='finite_field', p=3, f=1, name=''), order=None, rank=None, "
+              "m_prime=2, s=2, nu=None),))",
+        word: "CyclicWord(canonical=(0, 1, 1, 1), period=4)",
+    }
+    for value, text in pinned.items():
+        assert repr(value) == text
+        assert hash(value) == hash(tuple(value))
+    for gf in (witt, witt_nu, cyclic, free):
+        gf.wire  # the cached entry lives in the instance dict, not in the fields
+        with pytest.raises(AttributeError):
+            gf.multiplicity = 2
+        with pytest.raises(AttributeError):
+            gf.extra = 1
+        with pytest.raises(AttributeError):
+            del gf.wire
+        assert "extra" not in vars(gf)
+    with pytest.raises(AttributeError):
+        F9.p = 5
+    # cyclic words sort as (canonical, period)
+    words = [CyclicWord((0, 1), 2), CyclicWord((0, 0, 1), 3), CyclicWord((0, 1), 1)]
+    assert sorted(words) == [words[1], words[2], words[0]]
+    with pytest.raises(ValueError, match="not prime"):
+        RingSpec("finite_field", 4)
+    with pytest.raises(ValueError, match="not prime"):
+        F9._replace(p=4)

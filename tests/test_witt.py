@@ -5,12 +5,11 @@ import pytest
 
 from kax.errors import BudgetExceededError
 from kax.fields import galois_field
+from kax.numtheory import big_witt_order, order_Wn
 from kax.witt import (
-    big_witt_order,
     eval_poly_int,
     ghost,
     iso_with_zpn,
-    order_Wn,
     restrict,
     verschiebung,
     witt_polys,
