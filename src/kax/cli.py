@@ -202,7 +202,29 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _count_surely_too_long(s: int, base: int) -> bool:
+    """True when a word count near base**s / s must pass the int-to-str limit.
+
+    Decided from bit lengths alone, before the Mobius sum builds base**u for
+    every u | s.  For s >= 8 and base >= 2 (base d, or d - 1 for the axes
+    family) the rest of the Mobius sum (the terms with u < s, and the
+    +-(d - 1) of the axes family) is at most half of base**s, so the count
+    is at least base**s / (2s) and has at least
+    s * floor(log2 base) - log2(s) - 1 bits; each bit is worth more than
+    3/10 of a decimal digit.  Nearer the limit this is False, and the exact
+    count decides.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit == 0 or s < 8 or base < 2:
+        return False
+    bits = s * (base.bit_length() - 1) - s.bit_length() - 1
+    return bits * 3 // 10 + 1 > limit
+
+
 def cmd_count_words(args) -> int:
+    what = f"the count of words of length {args.s} on {args.d} letters"
+    if _count_surely_too_long(args.s, args.d - 1 if args.axes else args.d):
+        raise digit_limit_error(what)
     if args.axes:
         count = words.count_axes(args.s, args.d)
     else:
@@ -210,8 +232,7 @@ def cmd_count_words(args) -> int:
     try:
         count_text = str(count)
     except ValueError as exc:
-        raise digit_limit_error(
-            f"the count of words of length {args.s} on {args.d} letters") from exc
+        raise digit_limit_error(what) from exc
     if args.list:
         enum = words.enumerate_axes if args.axes else words.enumerate_aperiodic
         listed = [words.render_word(w.canonical, args.d) for w in enum(args.s, args.d)]

@@ -17,6 +17,13 @@ necklaces), so its stack depth does not grow with s.  For the axes family
 the walk prunes as it goes: it never extends a prefix that holds two
 adjacent equal letters, so it visits only the Lyndon prefixes of axes
 words rather than filtering every Lyndon word afterwards.
+
+The oracle count_by_enumeration runs its own copy of that walk which
+batches the last letter: once a prefix of length s - 1 is fixed, the
+letters that close a Lyndon word form one run up to d - 1, so the walk
+counts the run in one step instead of visiting each word, and visits about
+d times fewer nodes.  It still counts leaves of the walk, never the Mobius
+sums, so it stays an independent check of count_aperiodic / count_axes.
 """
 
 from __future__ import annotations
@@ -219,12 +226,42 @@ def count_by_enumeration(
     """Enumeration-backed count, without materializing the word list.
 
     This is the independent oracle for count_aperiodic / count_axes: it
-    never touches the Mobius formulas.
+    counts the leaves of the walk of _lyndon_words and never touches the
+    Mobius formulas.  Where that walk would step the last letter of a word
+    of length s through lo..d-1, yielding each step as a Lyndon word, this
+    loop adds the length of the run at once and pops the letter.
     """
     if s < 1 or d < 1:
         raise ValueError("count_by_enumeration requires s >= 1 and d >= 1")
     _check_budget(s, d, budget)
-    return sum(1 for _ in _lyndon_words(s, d, axes))
+    count = 0
+    w = [-1]
+    while w:
+        if len(w) == s:
+            # a word filled to length s (for s = 1, the start): each letter
+            # after its last one closes a Lyndon word of length s
+            lo = w.pop() + 1
+            if not axes:
+                count += d - lo
+            elif w:
+                # drop the letter equal to the left neighbour; across the
+                # wrap every letter of the run already differs from the
+                # first, as a Lyndon word of length >= 2 ends in a letter
+                # greater than its first.  A one-letter word is its own
+                # neighbour, so s = 1 counts none.
+                count += d - lo - (w[-1] >= lo)
+        else:
+            # one step of _lyndon_words below length s
+            w[-1] += 1
+            m = len(w)
+            if not (axes and m > 1 and w[-1] == w[-2]):
+                while len(w) < s:
+                    w.append(w[-m])
+                    if axes and w[-1] == w[-2]:
+                        break
+        while w and w[-1] == d - 1:
+            w.pop()
+    return count
 
 
 def brute_force_orbits(s: int, d: int, axes: bool = False) -> list[CyclicWord]:

@@ -12,11 +12,12 @@ from kax.tbounds import t_od
 from kax.words import count_aperiodic, enumerate_aperiodic, parse_word
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "kax", *argv],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -249,11 +250,22 @@ def test_integral_witt_base_past_the_str_limit_is_a_budget_error():
 
 
 def test_word_count_past_the_str_limit_is_a_budget_error(capsys):
+    # just inside the limit (4298 digits) the count still prints
+    assert main(["count-words", "--s", "14290", "--d", "2"]) == 0
+    assert capsys.readouterr().out == f"{count_aperiodic(14290, 2)}\n"
     assert main(["count-words", "--s", "20000", "--d", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
         "error: budget exceeded: the count of words of length 20000 on 2 letters")
+    # far past the limit the count is refused before the Mobius sum builds
+    # d**u for every u | s, which took seconds to minutes
+    for s, d in [("1000000", "1000000"), ("30000000", "7")]:
+        proc = run_cli("count-words", "--s", s, "--d", d, timeout=1)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith(
+            f"error: budget exceeded: the count of words of length {s} on {d} letters"
+            " has more than")
 
 
 def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kax.errors import BudgetExceededError
 from kax.words import (
     CyclicWord,
+    _lyndon_words,
     brute_force_orbits,
     canonicalize,
     count_aperiodic,
@@ -87,10 +88,12 @@ def test_enumerate_axes_examples():
     assert [str(x) for x in enumerate_axes(2, 2)] == ["ab"]
     assert enumerate_axes(1, 2) == []
     assert enumerate_axes(4, 2) == []
-    # edges of the pruned walk: one letter, two letters, length one
+    # edges of the pruned walk and of the counting walk: one letter, two
+    # letters, length one
     for s in range(1, 40):
         assert enumerate_axes(s, 1) == []
         assert count_by_enumeration(s, 1, axes=True) == 0
+        assert count_by_enumeration(s, 1) == len(enumerate_aperiodic(s, 1))
     for s in range(1, 21):
         expected = [CyclicWord((0, 1), 2)] if s == 2 else []
         assert enumerate_axes(s, 2) == expected
@@ -98,6 +101,11 @@ def test_enumerate_axes_examples():
     for d in range(1, 30):
         assert enumerate_axes(1, d) == []
         assert count_by_enumeration(1, d, axes=True) == 0
+        assert count_by_enumeration(1, d) == len(enumerate_aperiodic(1, d))
+        # s = 2 is the one length at which the axes fill meets an adjacent
+        # repeat exactly at position s - 1: the prefix x fills to xx, and
+        # the counted run starts above the repeat
+        assert count_by_enumeration(2, d, axes=True) == len(enumerate_axes(2, d))
 
 
 def _filtered_lyndon_words(s, d):
@@ -128,15 +136,35 @@ def test_enumeration_matches_brute_force():
     # cross-check the necklace generator against the dumb scan
     for d in (1, 2, 3):
         for s in range(1, 8):
-            assert enumerate_aperiodic(s, d) == brute_force_orbits(s, d)
-            assert enumerate_axes(s, d) == brute_force_orbits(s, d, axes=True)
+            aperiodic = brute_force_orbits(s, d)
+            axes = brute_force_orbits(s, d, axes=True)
+            assert enumerate_aperiodic(s, d) == aperiodic
+            assert enumerate_axes(s, d) == axes
+            assert count_by_enumeration(s, d) == len(aperiodic)
+            assert count_by_enumeration(s, d, axes=True) == len(axes)
 
 
 def test_counts_match_enumeration_small_grid():
-    for d in (1, 2, 3, 4):
-        for s in range(1, 9):
-            assert count_aperiodic(s, d) == len(enumerate_aperiodic(s, d))
-            assert count_axes(s, d) == len(enumerate_axes(s, d))
+    cells = [(s, d) for d in (1, 2, 3, 4) for s in range(1, 9)]
+    cells += [(s, d) for d in range(5, 10) for s in range(1, 6)]
+    for s, d in cells:
+        aperiodic = len(enumerate_aperiodic(s, d))
+        axes = len(enumerate_axes(s, d))
+        # the batched counting walk against the word-by-word walk
+        assert count_by_enumeration(s, d) == aperiodic, (s, d)
+        assert count_by_enumeration(s, d, axes=True) == axes, (s, d)
+        if d <= 4:
+            assert count_aperiodic(s, d) == aperiodic
+            assert count_axes(s, d) == axes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=6),
+       st.booleans())
+def test_counting_walk_matches_lyndon_walk(s, d, axes):
+    # 6**9 words is past the default budget
+    counted = count_by_enumeration(s, d, axes, budget=6**9)
+    assert counted == sum(1 for _ in _lyndon_words(s, d, axes))
 
 
 def test_long_words_on_one_letter():
