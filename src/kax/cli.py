@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from math import isqrt
 
 from . import kcalc, words
 from .errors import BudgetExceededError, InternalError, KaxError, digit_limit_error
@@ -65,10 +66,38 @@ def _render_factor_text(gf: GroupFactor, integral: bool) -> str:
         raise kcalc.factor_digit_limit_error(gf.kind, gf.m_prime, gf.s) from exc
 
 
+def _bits_surely_too_long(bits: int) -> bool:
+    """True when an integer of at least 2**bits must pass the int-to-str limit.
+
+    Such an integer has at least bits * 3 // 10 + 1 decimal digits, as each
+    bit is worth more than 3/10 of a digit.  Off when the limit is 0.
+    """
+    limit = sys.get_int_max_str_digits()
+    return limit != 0 and bits * 3 // 10 + 1 > limit
+
+
+def _order_surely_too_long(expr: GroupExpr) -> bool:
+    """True when order(expr) is an integer that must pass the int-to-str limit.
+
+    Decided from a lower bound on its bits, sum of multiplicity *
+    (bit_length - 1) over the factors, before order() builds the integer;
+    a free or symbolic factor makes the order no integer at all.
+    """
+    bits = 0
+    for gf in expr.factors:
+        o = gf.factor_order()
+        if o is None:
+            return False
+        bits += gf.multiplicity * (o.bit_length() - 1)
+    return _bits_surely_too_long(bits)
+
+
 def render_text(expr: GroupExpr, integral: bool = False) -> str:
     if expr.is_trivial:
         return "0"
     body = " x ".join(_render_factor_text(gf, integral) for gf in expr.factors)
+    if _order_surely_too_long(expr):
+        raise digit_limit_error(f"the order of the degree {expr.degree} group")
     o = order(expr)
     if isinstance(o, int):
         try:
@@ -209,22 +238,25 @@ def _count_surely_too_long(s: int, base: int) -> bool:
     every u | s.  For s >= 8 and base >= 2 (base d, or d - 1 for the axes
     family) the rest of the Mobius sum (the terms with u < s, and the
     +-(d - 1) of the axes family) is at most half of base**s, so the count
-    is at least base**s / (2s) and has at least
-    s * floor(log2 base) - log2(s) - 1 bits; each bit is worth more than
-    3/10 of a decimal digit.  Nearer the limit this is False, and the exact
-    count decides.
+    is at least base**s / (2s) >= 2**(s * floor(log2 base) - log2(s) - 1).
+    Nearer the limit this is False, and the exact count decides.
     """
-    limit = sys.get_int_max_str_digits()
-    if limit == 0 or s < 8 or base < 2:
+    if s < 8 or base < 2:
         return False
-    bits = s * (base.bit_length() - 1) - s.bit_length() - 1
-    return bits * 3 // 10 + 1 > limit
+    return _bits_surely_too_long(s * (base.bit_length() - 1) - s.bit_length() - 1)
 
 
 def cmd_count_words(args) -> int:
     what = f"the count of words of length {args.s} on {args.d} letters"
     if _count_surely_too_long(args.s, args.d - 1 if args.axes else args.d):
         raise digit_limit_error(what)
+    budget = words._budget(None)
+    if args.s > 0 and args.d > 0 and isqrt(args.s) > budget:
+        # the Mobius sum finds the divisors of s by trial division up to sqrt(s)
+        raise BudgetExceededError(
+            f"the divisors of s = {args.s} take {isqrt(args.s)} trial divisions,"
+            f" more than budget {budget}"
+        )
     if args.axes:
         count = words.count_axes(args.s, args.d)
     else:

@@ -6,8 +6,8 @@ encoded as sum c_i * p^i.  The modulus is the lexicographically least
 monic irreducible of degree f (ordered by that same integer encoding of
 the non-leading coefficients), so encodings are reproducible.
 
-Fields in this package are tiny (q <= a few hundred), so multiplication
-is precomputed as a q*q table.
+Fields in this package are tiny (q <= a few hundred), so addition,
+negation and multiplication are precomputed as tables.
 """
 
 from __future__ import annotations
@@ -83,7 +83,20 @@ class GaloisField:
         if self.q > _TABLE_LIMIT:
             raise ValueError(f"field order {self.q} exceeds supported size")
         self.modulus = find_modulus(p, f)
+        self._add = self._build_add_table()
+        self._neg = [row.index(0) for row in self._add]
         self._mul = self._build_mul_table()
+
+    def _build_add_table(self) -> list[list[int]]:
+        # digit by digit: a + b = (a + b) % p + p * T[a // p][b // p], where
+        # T is the table of the sums of the higher digits
+        p = self.p
+        table = [[0]]
+        for k in range(1, self.f + 1):
+            size = p**k
+            table = [[(a + b) % p + p * table[a // p][b // p] for b in range(size)]
+                     for a in range(size)]
+        return table
 
     def _build_mul_table(self) -> list[list[int]]:
         p, q = self.p, self.q
@@ -105,25 +118,10 @@ class GaloisField:
         return sum((c % self.p) * self.p**i for i, c in enumerate(coords))
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        scale = 1
-        for _ in range(self.f):
-            out += ((a + b) % p) * scale
-            a //= p
-            b //= p
-            scale *= p
-        return out
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        p = self.p
-        out = 0
-        scale = 1
-        for _ in range(self.f):
-            out += (-a % p) * scale
-            a //= p
-            scale *= p
-        return out
+        return self._neg[a]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]

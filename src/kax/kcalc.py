@@ -44,7 +44,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Literal
+from typing import Callable, Literal, get_args
 
 from .errors import BudgetExceededError, KaxError, digit_limit_error
 from .numtheory import big_witt_order, divisors, order_Wn, require_prime
@@ -226,14 +226,6 @@ def order(expr: GroupExpr) -> int | str:
 # the relative K-group assembly
 
 
-def _completeness(ring: RingSpec) -> str:
-    if ring.kind in ("finite_field", "perfect_fp"):
-        # the relative homotopy is p-power torsion, so nothing is lost
-        # integrally
-        return "integral-because-p-power-torsion"
-    return "p-complete"
-
-
 def _run(
     ring: RingSpec, ring_text: str, d: int, counter: Callable[[int, int], int],
     m_prime: int, t: int, odd: bool,
@@ -314,12 +306,30 @@ def _assemble_rows(
     return rows
 
 
-def _relative_rows(
-    ring: RingSpec, d: int, degrees: range, counter: Callable[[int, int], int],
-    m_prime_limit: int | None = None,
+def _rows(
+    ring: RingSpec, d: int, degrees: range, variant: Variant,
+    quillen_convention: str = "standard", m_prime_limit: int | None = None,
 ) -> list[GroupExpr]:
-    completeness = _completeness(ring)
+    """One GroupExpr per degree: the one map from a variant to its word
+    count, its d (the dual numbers are d = 1) and its Quillen summands."""
+    if variant not in get_args(Variant):
+        raise ValueError(f"unknown variant {variant!r}")
+    counter = count_axes if variant == "axes" else count_aperiodic
+    if variant == "dual":
+        d = 1
+    if variant == "integral":
+        ring = RingSpec.from_q(ring.q)
     rows = _assemble_rows(ring, d, degrees, counter, m_prime_limit)
+    if variant == "integral":
+        # the free and cyclic Quillen summands sort before every witt factor
+        return [
+            GroupExpr(n, ring.p, "integral", _quillen_factors(ring.q, n, quillen_convention) + row)
+            for n, row in zip(degrees, rows)
+        ]
+    # over F_q and perfect F_p the relative homotopy is p-power torsion, so
+    # nothing is lost integrally
+    completeness = ("integral-because-p-power-torsion"
+                    if ring.kind in ("finite_field", "perfect_fp") else "p-complete")
     return [GroupExpr(n, ring.p, completeness, row) for n, row in zip(degrees, rows)]
 
 
@@ -327,14 +337,14 @@ def relative_k(
     ring: RingSpec, d: int, degree: int, m_prime_limit: int | None = None
 ) -> GroupExpr:
     """Relative p-adic K-group of the square-zero extension in d variables."""
-    return _relative_rows(ring, d, range(degree, degree + 1), count_aperiodic, m_prime_limit)[0]
+    return _rows(ring, d, range(degree, degree + 1), "square", m_prime_limit=m_prime_limit)[0]
 
 
 def axes_relative_k(
     ring: RingSpec, d: int, degree: int, m_prime_limit: int | None = None
 ) -> GroupExpr:
     """Coordinate-axes variant: word counts restricted to adjacent-distinct."""
-    return _relative_rows(ring, d, range(degree, degree + 1), count_axes, m_prime_limit)[0]
+    return _rows(ring, d, range(degree, degree + 1), "axes", m_prime_limit=m_prime_limit)[0]
 
 
 def dual_numbers_k(ring: RingSpec, degree: int) -> GroupExpr:
@@ -378,18 +388,6 @@ def _quillen_factors(
     return (GroupFactor("cyclic", order=n),)
 
 
-def _integral_rows(
-    ring: RingSpec, d: int, degrees: range, convention: str,
-    m_prime_limit: int | None = None,
-) -> list[GroupExpr]:
-    rows = _assemble_rows(ring, d, degrees, count_aperiodic, m_prime_limit)
-    # the free and cyclic Quillen summands sort before every witt factor
-    return [
-        GroupExpr(n, ring.p, "integral", _quillen_factors(ring.q, n, convention) + row)
-        for n, row in zip(degrees, rows)
-    ]
-
-
 def integral_k_finite_field(
     q: int,
     d: int,
@@ -400,8 +398,8 @@ def integral_k_finite_field(
     """Integral K-group over F_q: relative part plus the K(F_q) summand."""
     if degree < 0:
         raise ValueError("integral K-groups are computed for degree >= 0")
-    ring = RingSpec.from_q(q)
-    return _integral_rows(ring, d, range(degree, degree + 1), quillen_convention, m_prime_limit)[0]
+    return _rows(RingSpec.from_q(q), d, range(degree, degree + 1), "integral",
+                 quillen_convention, m_prime_limit)[0]
 
 
 def table(
@@ -414,16 +412,7 @@ def table(
     """One GroupExpr per degree 0..max_degree, sliced from shared strips."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    degrees = range(max_degree + 1)
-    if variant == "integral":
-        ring = RingSpec.from_q(ring.q)
-        return _integral_rows(ring, d, degrees, quillen_convention)
-    if variant not in ("square", "axes", "dual"):
-        raise ValueError(f"unknown variant {variant!r}")
-    counter = count_axes if variant == "axes" else count_aperiodic
-    if variant == "dual":
-        d = 1
-    return _relative_rows(ring, d, degrees, counter)
+    return _rows(ring, d, range(max_degree + 1), variant, quillen_convention)
 
 
 # ---------------------------------------------------------------------------
@@ -490,39 +479,32 @@ def group_expr_to_dict(expr: GroupExpr) -> dict:
     }
 
 
-def group_expr_from_dict(data: dict, ring_hint: RingSpec | None = None) -> GroupExpr:
+# the fields of each kind's wire entry besides multiplicity and provenance,
+# each with its parser (None: the JSON value as it stands)
+_WIRE_FIELDS = {
+    "witt": (("length", None), ("ring", parse_ring_spec)),
+    "cyclic": (("order", int),),
+    "free": (("rank", None),),
+}
+
+
+def group_expr_from_dict(data: dict) -> GroupExpr:
     """Parse the wire format back; provenance and structure are preserved.
 
     The completeness tag collapses to the two wire values, so round-tripped
-    expressions compare equal up to that projection.
+    expressions compare equal up to that projection.  An unknown kind or a
+    missing field raises KeyError.
     """
     factors = []
     for entry in data["factors"]:
+        kind = entry["kind"]
+        fields = {name: entry[name] if parse is None else parse(entry[name])
+                  for name, parse in _WIRE_FIELDS[kind]}
         prov = entry.get("provenance", {})
-        if entry["kind"] == "witt":
-            gf = GroupFactor(
-                "witt",
-                multiplicity=int(entry["multiplicity"]),
-                length=entry["length"],
-                ring=parse_ring_spec(entry["ring"]),
-                m_prime=prov.get("m_prime"),
-                s=prov.get("s"),
-                nu=prov.get("nu"),
-            )
-        elif entry["kind"] == "cyclic":
-            gf = GroupFactor(
-                "cyclic",
-                multiplicity=int(entry["multiplicity"]),
-                order=int(entry["order"]),
-                m_prime=prov.get("m_prime"),
-                s=prov.get("s"),
-                nu=prov.get("nu"),
-            )
-        else:
-            gf = GroupFactor(
-                "free", multiplicity=int(entry["multiplicity"]), rank=entry["rank"]
-            )
-        factors.append(gf)
+        factors.append(GroupFactor(
+            kind, int(entry["multiplicity"]),
+            m_prime=prov.get("m_prime"), s=prov.get("s"), nu=prov.get("nu"), **fields,
+        ))
     return GroupExpr(data["degree"], data["p"], data["complete"], tuple(factors))
 
 

@@ -44,6 +44,13 @@ def all_passed(report: list[ReportEntry]) -> bool:
     return all(e.status != "fail" for e in report)
 
 
+def _verdict(check: str, params: dict, witness: str | None) -> ReportEntry:
+    """A failed entry with the witness, or a passed one when it is None."""
+    # ReportEntry is looked up here at each call, so a subclass put into
+    # this module in its place builds every entry
+    return ReportEntry(check, params, "pass" if witness is None else "fail", witness)
+
+
 # ---------------------------------------------------------------------------
 # degree-1 oracle: units of the square-zero extension
 
@@ -126,17 +133,8 @@ def check_counts(
                     report.append(ReportEntry("counts", params, "skipped"))
                     continue
                 got = formula(s, d)
-                if got == expected:
-                    report.append(ReportEntry("counts", params, "pass"))
-                else:
-                    report.append(
-                        ReportEntry(
-                            "counts",
-                            params,
-                            "fail",
-                            witness=f"formula {got} != enumeration {expected}",
-                        )
-                    )
+                report.append(_verdict("counts", params, None if got == expected
+                                       else f"formula {got} != enumeration {expected}"))
     return report
 
 
@@ -193,26 +191,15 @@ def check_witt(
             for f in f_set:
                 params = {"p": p, "n": n, "f": f}
                 witness = _ring_axiom_failures(p, n, f, triples, rng)
-                report.append(
-                    ReportEntry(
-                        "witt-ring-axioms",
-                        params,
-                        "fail" if witness else "pass",
-                        witness,
-                    )
-                )
+                report.append(_verdict("witt-ring-axioms", params, witness))
             params = {"p": p, "n": n}
-            witness = _ghost_failure(p, n, 30, rng)
-            report.append(
-                ReportEntry(
-                    "witt-ghost", params, "fail" if witness else "pass", witness
-                )
-            )
+            report.append(_verdict("witt-ghost", params, _ghost_failure(p, n, 30, rng)))
             try:
                 iso_with_zpn(p, n)
-                report.append(ReportEntry("witt-iso-zpn", params, "pass"))
+                witness = None
             except InternalError as exc:
-                report.append(ReportEntry("witt-iso-zpn", params, "fail", str(exc)))
+                witness = str(exc)
+            report.append(_verdict("witt-iso-zpn", params, witness))
     return report
 
 
@@ -233,17 +220,8 @@ def check_k1(
                 report.append(ReportEntry("k1-units", params, "skipped"))
                 continue
             got = order(relative_k(RingSpec.finite_field(p, f), d, 1))
-            if got == expected:
-                report.append(ReportEntry("k1-units", params, "pass"))
-            else:
-                report.append(
-                    ReportEntry(
-                        "k1-units",
-                        params,
-                        "fail",
-                        witness=f"formula order {got} != unit count {expected}",
-                    )
-                )
+            report.append(_verdict("k1-units", params, None if got == expected
+                                   else f"formula order {got} != unit count {expected}"))
     return report
 
 
@@ -256,17 +234,9 @@ def check_dual_numbers(p_set=(2, 3, 5), i_max: int = 5) -> list[ReportEntry]:
             params = {"p": p, "i": i, "degree": 2 * i - 1}
             got = order(relative_k(ring, 1, 2 * i - 1))
             expected = big_witt_order(2 * i, p, 1) // big_witt_order(i, p, 1)
-            if got == expected == p**i:
-                report.append(ReportEntry("dual-numbers-order", params, "pass"))
-            else:
-                report.append(
-                    ReportEntry(
-                        "dual-numbers-order",
-                        params,
-                        "fail",
-                        witness=f"K order {got}, big Witt quotient {expected}, p^i {p**i}",
-                    )
-                )
+            witness = f"K order {got}, big Witt quotient {expected}, p^i {p**i}"
+            report.append(_verdict("dual-numbers-order", params,
+                                   None if got == expected == p**i else witness))
     return report
 
 

@@ -193,10 +193,12 @@ def _lyndon_words(s: int, d: int, axes: bool = False) -> Iterator[Word]:
 
 
 def _check_budget(s: int, d: int, budget: int | None) -> None:
-    if d**s > _budget(budget):
-        raise BudgetExceededError(
-            f"enumeration of {d}^{s} words exceeds budget {_budget(budget)}"
-        )
+    budget = _budget(budget)
+    if d**s > budget:
+        raise BudgetExceededError(f"enumeration of {d}^{s} words exceeds budget {budget}")
+    if s > budget:
+        # below d = 2 the walk visits few words, but its fill holds s letters
+        raise BudgetExceededError(f"a walk over words of {s} letters exceeds budget {budget}")
 
 
 def _is_axes_word(w: Word) -> bool:

@@ -268,6 +268,56 @@ def test_word_count_past_the_str_limit_is_a_budget_error(capsys):
             " has more than")
 
 
+@pytest.mark.parametrize("argv", [
+    "compute --p 3 --d 3 --ring Fq:9 --integral --degree 16",
+    "compute --p 2 --d 5 --ring Fq:2 --degree 30",
+    "compute --p 3 --d 4 --ring Fq:3 --degree 200",
+    "compute --p 3 --d 3 --ring Fq:9 --degree 100",
+])
+def test_text_order_surely_too_long_is_refused_before_it_is_built(argv):
+    # these orders have from about 10^4 to 10^120 digits; building one took
+    # seconds, or did not finish
+    proc = run_cli(*argv.split(), timeout=1)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    degree = argv.split()[-1]
+    assert proc.stderr.startswith(
+        f"error: budget exceeded: the order of the degree {degree} group has more than")
+
+
+def test_order_bound_only_refuses_what_str_refuses(capsys):
+    from kax.cli import _bits_surely_too_long
+
+    fired = [b for b in range(14200, 14400) if _bits_surely_too_long(b)]
+    assert fired
+    for b in fired:
+        with pytest.raises(ValueError):
+            str(2**b)
+    # the text table stops at the first row whose order is too long, as the
+    # exact order did
+    assert main(["table", "--p", "2", "--d", "2", "--ring", "Fq:2", "--max-degree", "40"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: budget exceeded: the order of the degree 19 group has more than")
+    assert main(["table", "--p", "2", "--d", "2", "--ring", "Fq:2", "--max-degree", "18"]) == 0
+
+
+def test_count_words_refuses_hopeless_divisor_scans_and_fills():
+    # trial division up to sqrt(s) = 10^9 > the 10^7 budget: refused at once
+    for argv in (["--s", "1000000000000000003", "--d", "2", "--axes"],
+                 ["--s", "1000000000000000003", "--d", "1"]):
+        proc = run_cli("count-words", *argv, timeout=1)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("error: budget exceeded: the divisors of s = ")
+    # the walk of --list fills a word of s letters even on one letter
+    proc = run_cli("count-words", "--s", "20000000", "--d", "1", "--list", timeout=1)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: budget exceeded: a walk over words of 20000000")
+    # within the budget the count still comes out
+    proc = run_cli("count-words", "--s", "1000003", "--d", "1", timeout=1)
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
 def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
     import kax.cli
 

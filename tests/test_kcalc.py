@@ -405,6 +405,18 @@ def test_json_roundtrip():
         assert back == normalize_for_roundtrip(expr)
 
 
+def test_wire_parser_rejects_missing_fields_and_unknown_kinds():
+    entry = group_expr_to_dict(relative_k(F3, 2, 5))["factors"][0]
+    no_length = {k: v for k, v in entry.items() if k != "length"}
+    # every field any kind reads is there, so only the kind itself is wrong
+    bogus = {"kind": "bogus", "multiplicity": "1", "length": 1, "ring": "Fq:3",
+             "order": "2", "rank": 1}
+    for factor in (no_length, bogus):
+        with pytest.raises(KeyError):
+            group_expr_from_dict({"degree": 5, "p": 3, "complete": "integral",
+                                  "factors": [factor]})
+
+
 def test_multiplicity_serialized_as_string():
     data = group_expr_to_dict(relative_k(F3, 2, 1))
     assert data["factors"][0]["multiplicity"] == "2"

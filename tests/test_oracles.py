@@ -107,3 +107,39 @@ def test_report_entry_to_dict():
     assert d["check"] == "dual-numbers-order"
     assert d["status"] == "pass"
     assert "witness" not in d
+
+
+def _small_suites():
+    return (check_counts(s_max=4, d_max=2)
+            + check_witt(p_set=(2,), n_max=2, f_set=(1,), triples=5)
+            + check_k1(q_set=(2, 9), d_set=(1, 3), budget=10**3)
+            + check_dual_numbers(p_set=(3,), i_max=2))
+
+
+def test_every_entry_is_built_from_the_module_report_entry(monkeypatch):
+    # a subclass put into kax.oracles in place of ReportEntry, as a timing
+    # harness does, builds every entry of every suite: pass, skipped and fail
+    import kax.oracles as oracles
+
+    class Marked(oracles.ReportEntry):
+        pass
+
+    monkeypatch.setattr(oracles, "ReportEntry", Marked)
+    report = _small_suites()
+    assert {e.status for e in report} == {"pass", "skipped"}
+
+    def broken_iso(p, n):
+        raise InternalError("no isomorphism")
+
+    real_relative_k = oracles.relative_k
+    monkeypatch.setattr(oracles, "count_axes", lambda s, d: -1)
+    monkeypatch.setattr(oracles, "_ring_axiom_failures", lambda *args: "axioms fail")
+    monkeypatch.setattr(oracles, "_ghost_failure", lambda *args: "ghost fails")
+    monkeypatch.setattr(oracles, "iso_with_zpn", broken_iso)
+    monkeypatch.setattr(oracles, "relative_k", lambda ring, d, n: real_relative_k(ring, d, 0))
+    failing = _small_suites()
+    assert {e.check for e in failing if e.status == "fail"} == {
+        "counts", "witt-ring-axioms", "witt-ghost", "witt-iso-zpn", "k1-units",
+        "dual-numbers-order"}
+    assert all(e.witness for e in failing if e.status == "fail")
+    assert all(isinstance(e, Marked) for e in report + failing)

@@ -179,3 +179,32 @@ def test_field_f2_arithmetic():
     for a in F4.elements():
         if a:
             assert F4.mul(a, F4.inv(a)) == 1
+
+
+def _digit_add(F, a, b):
+    # the per-digit sum, independent of the field's tables
+    p, out, scale = F.p, 0, 1
+    for _ in range(F.f):
+        out += ((a + b) % p) * scale
+        a //= p
+        b //= p
+        scale *= p
+    return out
+
+
+def _digit_neg(F, a):
+    p, out, scale = F.p, 0, 1
+    for _ in range(F.f):
+        out += (-a % p) * scale
+        a //= p
+        scale *= p
+    return out
+
+
+@pytest.mark.parametrize("p, f", [(p, f) for p in (2, 3, 5) for f in (1, 2, 3)] + [(2, 9)])
+def test_field_add_neg_match_digit_loops(p, f):
+    F = galois_field(p, f)
+    for a in F.elements():
+        assert F.neg(a) == _digit_neg(F, a)
+        for b in F.elements():
+            assert F.add(a, b) == _digit_add(F, a, b)
