@@ -20,7 +20,7 @@ from .kcalc import (
     GroupFactor,
     RingSpec,
     group_expr_to_dict,
-    order,
+    order_exponent,
     parse_ring_spec,
 )
 from .numtheory import require_prime
@@ -39,17 +39,15 @@ MAX_DEGREE = 200
 # JSON wire entries, not a usage error.
 
 
-def _render_factor_text(gf: GroupFactor, integral: bool) -> str:
+def _render_factor_text(gf: GroupFactor, expr: GroupExpr) -> str:
     try:
         if gf.kind == "free":
-            base = "Z"
-            mult = gf.rank or 1
-            return base if mult == 1 else f"{base}^{mult}"
+            return "Z" if (gf.rank or 1) == 1 else f"Z^{gf.rank}"
         if gf.kind == "cyclic":
             base = f"Z/{gf.order}"
         else:
             ring = gf.ring
-            if integral and ring.kind == "finite_field":
+            if expr.completeness == "integral" and ring.kind == "finite_field":
                 # render W_k(F_q) as the unramified quotient it is isomorphic to
                 if ring.f == 1:
                     base = f"Z/{ring.p ** gf.length}"
@@ -76,35 +74,28 @@ def _bits_surely_too_long(bits: int) -> bool:
     return limit != 0 and bits * 3 // 10 + 1 > limit
 
 
-def _order_surely_too_long(expr: GroupExpr) -> bool:
-    """True when order(expr) is an integer that must pass the int-to-str limit.
-
-    Decided from a lower bound on its bits, sum of multiplicity *
-    (bit_length - 1) over the factors, before order() builds the integer;
-    a free or symbolic factor makes the order no integer at all.
-    """
-    bits = 0
-    for gf in expr.factors:
-        o = gf.factor_order()
-        if o is None:
-            return False
-        bits += gf.multiplicity * (o.bit_length() - 1)
-    return _bits_surely_too_long(bits)
-
-
-def render_text(expr: GroupExpr, integral: bool = False) -> str:
+def render_text(expr: GroupExpr) -> str:
+    """The factors and the order: its decimal wherever that fits the
+    int-to-str limit, past it p^N or p^N * c from order_exponent."""
     if expr.is_trivial:
         return "0"
-    body = " x ".join(_render_factor_text(gf, integral) for gf in expr.factors)
-    if _order_surely_too_long(expr):
-        raise digit_limit_error(f"the order of the degree {expr.degree} group")
-    o = order(expr)
-    if isinstance(o, int):
-        try:
-            return f"{body} (order {o})"
-        except ValueError as exc:
-            raise digit_limit_error(f"the order of the degree {expr.degree} group") from exc
-    return f"{body} ({o} order)" if o == "symbolic" else f"{body} (infinite)"
+    body = " x ".join(_render_factor_text(gf, expr) for gf in expr.factors)
+    o = order_exponent(expr)
+    if isinstance(o, str):
+        return f"{body} ({o} order)" if o == "symbolic" else f"{body} (infinite)"
+    n, c = o
+    p = expr.p
+    # p**n >= 2**(n * (bit_length(p) - 1)): far past the limit the decimal
+    # is never built, and nearer it its digit count decides exactly
+    if not _bits_surely_too_long(n * (p.bit_length() - 1)):
+        total = p**n * c
+        limit = sys.get_int_max_str_digits()
+        if limit == 0 or total < 10**limit:
+            return f"{body} (order {total})"
+    try:
+        return f"{body} (order {p}^{n})" if c == 1 else f"{body} (order {p}^{n} * {c})"
+    except ValueError as exc:
+        raise digit_limit_error(f"the order of the degree {expr.degree} group") from exc
 
 
 def _latex_ring(ring: RingSpec) -> str:
@@ -137,12 +128,12 @@ def render_latex(expr: GroupExpr) -> str:
     return r" \times ".join(_render_factor_latex(gf) for gf in expr.factors)
 
 
-def render(expr: GroupExpr, fmt: str, integral: bool = False) -> str:
+def render(expr: GroupExpr, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(group_expr_to_dict(expr))
     if fmt == "latex":
         return render_latex(expr)
-    return render_text(expr, integral)
+    return render_text(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +201,7 @@ def cmd_compute(args) -> int:
     ring = _resolve_ring(args)
     _check_degree(args.degree)
     expr = _compute_one(ring, args, args.degree)
-    print(render(expr, args.format, integral=args.integral))
+    print(render(expr, args.format))
     if args.variant == "dual" and args.format == "text":
         for line in _dual_report_lines(ring, expr):
             print(line)
@@ -226,7 +217,7 @@ def cmd_table(args) -> int:
         print(json.dumps([group_expr_to_dict(e) for e in exprs]))
     else:
         # render every row first, so a row that fails leaves no partial table
-        lines = [f"degree {e.degree}: {render(e, args.format, args.integral)}" for e in exprs]
+        lines = [f"degree {e.degree}: {render(e, args.format)}" for e in exprs]
         print("\n".join(lines))
     return 0
 

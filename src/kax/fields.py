@@ -7,7 +7,8 @@ monic irreducible of degree f (ordered by that same integer encoding of
 the non-leading coefficients), so encodings are reproducible.
 
 Fields in this package are tiny (q <= a few hundred), so addition,
-negation and multiplication are precomputed as tables.
+negation and multiplication are precomputed as tables; the product table
+is filled from log/antilog tables over a primitive element.
 """
 
 from __future__ import annotations
@@ -99,16 +100,20 @@ class GaloisField:
         return table
 
     def _build_mul_table(self) -> list[list[int]]:
+        # log/antilog tables over a primitive element g, whose q - 1 powers
+        # are the nonzero elements: a * b = g^(log a + log b)
         p, q = self.p, self.q
-        table = [[0] * q for _ in range(q)]
-        coords = [self.to_coords(a) for a in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                prod_ = _poly_mul(coords[a], coords[b], p)
-                enc = self.from_coords(_poly_mod(prod_, self.modulus, p))
-                table[a][b] = enc
-                table[b][a] = enc
-        return table
+        for g in range(1, q):
+            exp, coords = [1], self.to_coords(g)
+            while (power := self.from_coords(coords)) != 1:
+                exp.append(power)
+                coords = _poly_mod(_poly_mul(coords, self.to_coords(g), p), self.modulus, p)
+            if len(exp) == q - 1:
+                break
+        log = {a: i for i, a in enumerate(exp)}
+        logs = [log[a] for a in range(1, q)]
+        exp += exp  # g^(i + j) for i, j < q - 1 without a modulus
+        return [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
 
     def to_coords(self, a: int) -> list[int]:
         p = self.p

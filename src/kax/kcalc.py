@@ -41,16 +41,16 @@ as read-only.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Literal, get_args
 
 from .errors import BudgetExceededError, KaxError, digit_limit_error
-from .numtheory import big_witt_order, divisors, order_Wn, require_prime
+from .numtheory import big_witt_order, divisors, require_prime
 from .words import count_aperiodic, count_axes
 
-Variant = Literal["square", "axes", "dual", "integral"]
+VARIANTS = ("square", "axes", "dual", "integral")
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +143,6 @@ class GroupFactor(namedtuple(
     def __delattr__(self, name):
         raise AttributeError(f"GroupFactor is read-only: cannot delete {name!r}")
 
-    def factor_order(self) -> int | None:
-        """Order of a single copy, or None if infinite/symbolic."""
-        if self.kind == "free":
-            return None
-        if self.kind == "cyclic":
-            return self.order
-        assert self.ring is not None and self.length is not None
-        if self.ring.is_symbolic:
-            return None
-        return order_Wn(self.ring.p, self.ring.f, self.length)
-
     @cached_property
     def wire(self) -> dict:
         """This factor's JSON wire entry, built on first use.
@@ -209,17 +198,30 @@ def _sort_key(gf: GroupFactor):
     )
 
 
+def order_exponent(expr: GroupExpr) -> tuple[int, int] | str:
+    """(N, c) with order(expr) == p**N * c, or "infinite" / "symbolic".
+
+    A copy of W_k(F_{p^f}) has order p^(f k), so a witt factor adds f *
+    length * multiplicity to N and builds no power; the cyclic factors
+    multiply c.  The witt rings have the expression's p, as assembled.
+    """
+    n, c = 0, 1
+    for gf in expr.factors:
+        if gf.kind == "free":
+            return "infinite" if (gf.rank or 0) > 0 else "symbolic"
+        if gf.kind == "cyclic":
+            c *= gf.order**gf.multiplicity
+        elif gf.ring.is_symbolic:
+            return "symbolic"
+        else:
+            n += gf.ring.f * gf.length * gf.multiplicity
+    return n, c
+
+
 def order(expr: GroupExpr) -> int | str:
     """Product of factor orders, or "infinite" / "symbolic"."""
-    total = 1
-    for gf in expr.factors:
-        if gf.kind == "free" and (gf.rank or 0) > 0:
-            return "infinite"
-        o = gf.factor_order()
-        if o is None:
-            return "symbolic"
-        total *= o**gf.multiplicity
-    return total
+    o = order_exponent(expr)
+    return o if isinstance(o, str) else expr.p ** o[0] * o[1]
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +309,12 @@ def _assemble_rows(
 
 
 def _rows(
-    ring: RingSpec, d: int, degrees: range, variant: Variant,
+    ring: RingSpec, d: int, degrees: range, variant: str,
     quillen_convention: str = "standard", m_prime_limit: int | None = None,
 ) -> list[GroupExpr]:
     """One GroupExpr per degree: the one map from a variant to its word
     count, its d (the dual numbers are d = 1) and its Quillen summands."""
-    if variant not in get_args(Variant):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     counter = count_axes if variant == "axes" else count_aperiodic
     if variant == "dual":
@@ -406,7 +408,7 @@ def table(
     ring: RingSpec,
     d: int,
     max_degree: int,
-    variant: Variant = "square",
+    variant: str = "square",
     quillen_convention: str = "standard",
 ) -> list[GroupExpr]:
     """One GroupExpr per degree 0..max_degree, sliced from shared strips."""

@@ -116,14 +116,14 @@ def big_witt_order(m: int, p: int, f: int) -> int:
     """|W_m(F_q)| for the length-m big Witt vectors, q = p^f.
 
     Uses the splitting of the big Witt group into p-typical pieces indexed
-    by j <= m coprime to p, the j-th of length #{i >= 0 : j*p^i <= m}.
-    The lengths must sum to m, which is asserted.
+    by j <= m coprime to p, the j-th of length #{i >= 0 : j*p^i <= m}, so
+    the order is p^(f * the sum of the lengths).  The lengths must sum to
+    m, which is asserted.
     """
     require_prime(p)
     if m < 0:
         raise ValueError("m must be >= 0")
     total_len = 0
-    order = 1
     for j in range(1, m + 1):
         if not in_jp(p, j):
             continue
@@ -133,7 +133,6 @@ def big_witt_order(m: int, p: int, f: int) -> int:
             length += 1
             jp *= p
         total_len += length
-        order *= order_Wn(p, f, length)
     if total_len != m:
         raise InternalError(f"big Witt splitting lengths sum to {total_len}, not {m}")
-    return order
+    return order_Wn(p, f, total_len)

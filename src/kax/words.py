@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import BudgetExceededError, InternalError
 from .numtheory import divisors, mobius
@@ -170,32 +170,33 @@ def _lyndon_words(s: int, d: int, axes: bool = False) -> Iterator[Word]:
     #
     # With axes set, the walk never extends a prefix that holds two adjacent
     # equal letters: a freshly stepped letter equal to its left neighbour is
-    # neither yielded nor extended, and the fill by period stops at the
-    # first such letter; either way that letter is stepped next.  Every
-    # prefix of a prenecklace is a prenecklace and stepping the last letter
-    # of one gives a Lyndon word, so the walk keeps to Lyndon words in the
-    # same order and skips only subtrees in which every word holds an
-    # adjacent repeat.  A word of length s is yielded only when its last
-    # letter also differs from its first, the cyclic wrap.
+    # neither yielded nor extended, but stepped next.  Every prefix of a
+    # prenecklace is a prenecklace and stepping the last letter of one gives
+    # a Lyndon word, so the walk keeps to Lyndon words in the same order and
+    # skips only subtrees in which every word holds an adjacent repeat.  A
+    # Lyndon word of length m >= 2 ends above its first letter, so neither
+    # its cyclic wrap nor its fill by period m holds a repeat; at m = 1 both
+    # do, so that word is not yielded and its fill stops at the repeat.
     w = [-1]
     while w:
         w[-1] += 1
         m = len(w)
         if not (axes and m > 1 and w[-1] == w[-2]):
-            if m == s and not (axes and w[-1] == w[0]):
+            if m == s and not (axes and m == 1):
                 yield tuple(w)
-            while len(w) < s:
+            fill = min(s, 2) if axes and m == 1 else s
+            while len(w) < fill:
                 w.append(w[-m])
-                if axes and w[-1] == w[-2]:
-                    break
         while w and w[-1] == d - 1:
             w.pop()
 
 
-def _check_budget(s: int, d: int, budget: int | None) -> None:
+def _check_budget(s: int, d: int, axes: bool, budget: int | None) -> None:
     budget = _budget(budget)
-    if d**s > budget:
-        raise BudgetExceededError(f"enumeration of {d}^{s} words exceeds budget {budget}")
+    # the axes walk extends only prefixes without an adjacent repeat
+    if (d * (d - 1) ** (s - 1) if axes else d**s) > budget:
+        words = f"{d}*{d - 1}^{s - 1}" if axes else f"{d}^{s}"
+        raise BudgetExceededError(f"enumeration of {words} words exceeds budget {budget}")
     if s > budget:
         # below d = 2 the walk visits few words, but its fill holds s letters
         raise BudgetExceededError(f"a walk over words of {s} letters exceeds budget {budget}")
@@ -210,7 +211,7 @@ def enumerate_aperiodic(s: int, d: int, budget: int | None = None) -> list[Cycli
     """Canonical representatives of all period-s cyclic words, sorted."""
     if s < 1 or d < 1:
         raise ValueError("enumerate_aperiodic requires s >= 1 and d >= 1")
-    _check_budget(s, d, budget)
+    _check_budget(s, d, False, budget)
     return [CyclicWord(w, s) for w in _lyndon_words(s, d)]
 
 
@@ -218,7 +219,7 @@ def enumerate_axes(s: int, d: int, budget: int | None = None) -> list[CyclicWord
     """As enumerate_aperiodic, restricted to cyclically adjacent-distinct words."""
     if s < 1 or d < 1:
         raise ValueError("enumerate_axes requires s >= 1 and d >= 1")
-    _check_budget(s, d, budget)
+    _check_budget(s, d, True, budget)
     return [CyclicWord(w, s) for w in _lyndon_words(s, d, axes=True)]
 
 
@@ -235,7 +236,7 @@ def count_by_enumeration(
     """
     if s < 1 or d < 1:
         raise ValueError("count_by_enumeration requires s >= 1 and d >= 1")
-    _check_budget(s, d, budget)
+    _check_budget(s, d, axes, budget)
     count = 0
     w = [-1]
     while w:
@@ -257,10 +258,9 @@ def count_by_enumeration(
             w[-1] += 1
             m = len(w)
             if not (axes and m > 1 and w[-1] == w[-2]):
-                while len(w) < s:
+                fill = min(s, 2) if axes and m == 1 else s
+                while len(w) < fill:
                     w.append(w[-m])
-                    if axes and w[-1] == w[-2]:
-                        break
         while w and w[-1] == d - 1:
             w.pop()
     return count

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from kax.cli import main, render_text
 from kax.errors import BudgetExceededError, InternalError
 from kax.kcalc import GroupExpr, GroupFactor, RingSpec
 from kax.tbounds import t_od
-from kax.words import count_aperiodic, enumerate_aperiodic, parse_word
+from kax.words import DEFAULT_BUDGET, count_aperiodic, count_axes, enumerate_aperiodic, parse_word
 
 
 def run_cli(*argv, timeout=None):
@@ -190,6 +192,27 @@ def test_budget_exceeded_has_its_own_exit_code(capsys, monkeypatch):
     assert captured.err.startswith("error: budget exceeded: enumeration of 4^12 words")
 
 
+@pytest.mark.parametrize("s, d", [(12, 4), (13, 4), (15, 3), (30, 2)])
+def test_axes_list_budget_charges_the_pruned_walk(capsys, monkeypatch, s, d):
+    # d^s words are past the budget, but the axes walk extends only the
+    # d (d - 1)^(s - 1) prefixes without an adjacent repeat
+    monkeypatch.delenv("KAX_BUDGET", raising=False)
+    assert d * (d - 1) ** (s - 1) <= DEFAULT_BUDGET < d**s
+    assert main(["count-words", "--s", str(s), "--d", str(d), "--axes", "--list"]) == 0
+    count, listed = capsys.readouterr().out.split("\n")[:2]
+    assert int(count) == count_axes(s, d) == len(listed.split())
+
+
+@pytest.mark.parametrize("s, d", [(15, 4), (12, 5)])
+def test_axes_list_past_the_pruned_budget_is_refused(capsys, monkeypatch, s, d):
+    monkeypatch.delenv("KAX_BUDGET", raising=False)
+    assert main(["count-words", "--s", str(s), "--d", str(d), "--axes", "--list"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: budget exceeded: enumeration of {d}*{d - 1}^{s - 1} words")
+
+
 @pytest.mark.parametrize("command", ["compute", "table"])
 @pytest.mark.parametrize("variant", ["axes", "dual"])
 def test_integral_rejects_a_variant(capsys, command, variant):
@@ -232,13 +255,60 @@ def test_cyclic_order_past_the_str_limit_is_a_budget_error(capsys, fmt):
         "error: budget exceeded: an integer of the cyclic factor has more than")
 
 
+def _json_order_exponents(argv):
+    """N and c of each row of a compute or table request, read off its
+    JSON output as sum f * length * multiplicity and the cyclic orders."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([*argv, "--format", "json"]) == 0
+    data = json.loads(out.getvalue())
+    exponents = []
+    for row in data if isinstance(data, list) else [data]:
+        n, c = 0, 1
+        for fac in row["factors"]:
+            if fac["kind"] == "cyclic":
+                c *= int(fac["order"]) ** int(fac["multiplicity"])
+            else:
+                q = int(fac["ring"].removeprefix("Fq:"))
+                f = next(k for k in range(1, q) if row["p"] ** k == q)
+                n += f * fac["length"] * int(fac["multiplicity"])
+        exponents.append((row["p"], n, c))
+    return exponents
+
+
+def _decimal_fits(p, n, c):
+    limit = sys.get_int_max_str_digits()
+    return n < 4 * limit and p**n * c < 10**limit
+
+
 def test_text_order_past_the_str_limit_is_a_budget_error(capsys):
-    # every factor prints, but the order of the whole group does not
-    assert main(["compute", "--p", "3", "--d", "2", "--ring", "Fq:3", "--degree", "20"]) == 3
+    # every factor prints, and so does the order: as 3^N, since the decimal
+    # 3^72795 has more digits than the int-to-str limit allows
+    argv = ["compute", "--p", "3", "--d", "2", "--ring", "Fq:3", "--degree", "20"]
+    [(p, n, c)] = _json_order_exponents(argv)
+    assert (p, n, c) == (3, 72795, 1) and not _decimal_fits(p, n, c)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith(" F_3^52377 (order 3^72795)\n")
+    # a degree whose order fits still prints the decimal
+    [(p, n, c)] = _json_order_exponents([*argv[:-1], "10"])
+    assert _decimal_fits(p, n, c)
+    assert main([*argv[:-1], "10"]) == 0
+    assert capsys.readouterr().out.endswith(f" (order {p**n})\n")
+
+
+def test_text_order_exponent_past_the_str_limit_is_a_budget_error(capsys):
+    # every multiplicity prints, but N = sum f * length * multiplicity over
+    # F_4 has more digits than the limit, so no form of the order prints
+    argv = ["compute", "--p", "2", "--d", "10471285480508995334645020315281400790567914",
+            "--ring", "Fq:4", "--degree", "200"]
+    [(p, n, c)] = _json_order_exponents(argv)
+    assert n >= 10 ** sys.get_int_max_str_digits()
+    assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
-        "error: budget exceeded: the order of the degree 20 group has more than")
+        "error: budget exceeded: the order of the degree 200 group has more than")
 
 
 def test_integral_witt_base_past_the_str_limit_is_a_budget_error():
@@ -246,7 +316,7 @@ def test_integral_witt_base_past_the_str_limit_is_a_budget_error():
     gf = GroupFactor("witt", length=20000, ring=RingSpec.finite_field(2), m_prime=1, s=1)
     expr = GroupExpr(0, 2, "integral", (gf,))
     with pytest.raises(BudgetExceededError, match="an integer of the witt factor at m'=1, s=1"):
-        render_text(expr, integral=True)
+        render_text(expr)
 
 
 def test_word_count_past_the_str_limit_is_a_budget_error(capsys):
@@ -275,13 +345,14 @@ def test_word_count_past_the_str_limit_is_a_budget_error(capsys):
     "compute --p 3 --d 3 --ring Fq:9 --degree 100",
 ])
 def test_text_order_surely_too_long_is_refused_before_it_is_built(argv):
-    # these orders have from about 10^4 to 10^120 digits; building one took
-    # seconds, or did not finish
+    # these orders have from about 10^4 to 10^120 digits; the text line
+    # gives them as p^N, and the decimal is never built
     proc = run_cli(*argv.split(), timeout=1)
-    assert (proc.returncode, proc.stdout) == (3, "")
-    degree = argv.split()[-1]
-    assert proc.stderr.startswith(
-        f"error: budget exceeded: the order of the degree {degree} group has more than")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    [(p, n, c)] = _json_order_exponents(argv.split())
+    assert not _decimal_fits(p, n, c)
+    note = f"(order {p}^{n})" if c == 1 else f"(order {p}^{n} * {c})"
+    assert proc.stdout.endswith(f" {note}\n")
 
 
 def test_order_bound_only_refuses_what_str_refuses(capsys):
@@ -292,14 +363,22 @@ def test_order_bound_only_refuses_what_str_refuses(capsys):
     for b in fired:
         with pytest.raises(ValueError):
             str(2**b)
-    # the text table stops at the first row whose order is too long, as the
-    # exact order did
-    assert main(["table", "--p", "2", "--d", "2", "--ring", "Fq:2", "--max-degree", "40"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(
-        "error: budget exceeded: the order of the degree 19 group has more than")
-    assert main(["table", "--p", "2", "--d", "2", "--ring", "Fq:2", "--max-degree", "18"]) == 0
+    # the text table prints every row: the decimal order wherever str()
+    # gives it, 2^N where it does not, first at degree 19
+    argv = ["table", "--p", "2", "--d", "2", "--ring", "Fq:2", "--max-degree", "40"]
+    exponents = _json_order_exponents(argv)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 41
+    for degree, (line, (p, n, c)) in enumerate(zip(lines, exponents)):
+        assert c == 1
+        if n == 0:
+            assert line == f"degree {degree}: 0"
+        elif _decimal_fits(p, n, c):
+            assert line.endswith(f" (order {2**n})"), line
+        else:
+            assert degree >= 19 and line.endswith(f" (order 2^{n})"), line
+    assert not _decimal_fits(*exponents[19])
 
 
 def test_count_words_refuses_hopeless_divisor_scans_and_fills():
@@ -422,7 +501,7 @@ def test_compute_table_and_count_words_start_without_the_witt_layers():
     )
     assert codes == [0, 0, 0]
     assert "kax.kcalc" in loaded
-    assert not {"dataclasses", "kax.witt", "kax.fields", "kax.oracles"} & set(loaded)
+    assert not {"dataclasses", "typing", "kax.witt", "kax.fields", "kax.oracles"} & set(loaded)
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,11 +18,12 @@ from kax.kcalc import (
     integral_k_finite_field,
     normalize_for_roundtrip,
     order,
+    order_exponent,
     parse_ring_spec,
     relative_k,
     table,
 )
-from kax.numtheory import divisors, vp
+from kax.numtheory import divisors, order_Wn, vp
 from kax.tbounds import t_ev, t_od
 from kax.words import CyclicWord, canonicalize, count_aperiodic, count_axes
 
@@ -139,9 +140,10 @@ def test_integral_examples():
     assert order(e) == "infinite"
 
     e = integral_k_finite_field(3, 1, 1)
-    kinds = [(f.kind, f.factor_order()) for f in e.factors]
-    assert kinds == [("cyclic", 2), ("witt", 3)]
+    kinds = [(f.kind, f.order, f.length) for f in e.factors]
+    assert kinds == [("cyclic", 2, None), ("witt", None, 1)]
     assert order(e) == 6
+    assert order_exponent(e) == (1, 2)
 
     assert integral_k_finite_field(4, 1, 2).is_trivial
 
@@ -514,3 +516,75 @@ def test_value_types_keep_their_repr_hash_and_read_only_contract():
         RingSpec("finite_field", 4)
     with pytest.raises(ValueError, match="not prime"):
         F9._replace(p=4)
+
+
+# ---------------------------------------------------------------------------
+# orders as exact exponents
+
+ORDER_FIELDS = [RingSpec.from_q(q) for q in (2, 3, 4, 5, 9)]
+VARIANTS = ("square", "axes", "dual", "integral")
+
+
+def _product_of_copy_orders(expr):
+    # the order as the product over factors of |one copy| ** multiplicity
+    total = 1
+    for gf in expr.factors:
+        if gf.kind == "cyclic":
+            total *= gf.order**gf.multiplicity
+        else:
+            total *= order_Wn(gf.ring.p, gf.ring.f, gf.length) ** gf.multiplicity
+    return total
+
+
+def test_order_exponent_matches_the_product_of_factor_orders():
+    checked = 0
+    for ring in ORDER_FIELDS:
+        for variant in VARIANTS:
+            for d in (1, 2, 3):
+                for e in table(ring, d, 40, variant):
+                    o = order_exponent(e)
+                    if e.degree == 0 and variant == "integral":
+                        assert o == order(e) == "infinite"
+                        continue
+                    n, c = o
+                    assert c == 1 or variant == "integral"
+                    if n <= 2 * 10**5:
+                        assert order(e) == e.p**n * c == _product_of_copy_orders(e), (ring, variant, d)
+                        checked += 1
+    assert checked > 1000
+
+
+def test_order_exponent_infinite_and_symbolic():
+    R = RingSpec("perfectoid", 3, name="R")
+    assert order_exponent(relative_k(R, 2, 5)) == order(relative_k(R, 2, 5)) == "symbolic"
+    assert order_exponent(integral_k_finite_field(3, 2, 0)) == "infinite"
+    assert order_exponent(GroupExpr(0, 3, "integral", (GroupFactor("free", rank=0),))) == "symbolic"
+    assert order_exponent(GroupExpr(1, 3, "p-complete")) == (0, 1)
+
+
+@pytest.mark.parametrize("ring", [F2, F3, RingSpec.from_q(4), RingSpec.from_q(9)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_axes_multiplicities_at_most_square_ones(ring, d):
+    for axes, square in zip(table(ring, d, 60, "axes"), table(ring, d, 60, "square")):
+        square_mult = {(gf.m_prime, gf.s, gf.nu, gf.length): gf.multiplicity
+                       for gf in square.factors}
+        for gf in axes.factors:
+            assert 0 < gf.multiplicity <= square_mult[gf.m_prime, gf.s, gf.nu, gf.length]
+        ax, sq = order_exponent(axes)[0], order_exponent(square)[0]
+        assert ax <= sq
+
+
+@pytest.mark.parametrize("p, f", [(2, 2), (2, 3), (3, 2), (5, 2)])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_exponent_over_an_extension_field_is_f_times_that_over_the_prime_field(p, f, variant):
+    def index(e):
+        return [(gf.m_prime, gf.s, gf.length, gf.multiplicity)
+                for gf in e.factors if gf.kind == "witt"]
+
+    for d in (1, 2, 3):
+        base = table(RingSpec.finite_field(p), d, 50, variant)
+        ext = table(RingSpec.finite_field(p, f), d, 50, variant)
+        for e_p, e_q in zip(base, ext):
+            assert index(e_q) == index(e_p)
+            if e_p.degree or variant != "integral":
+                assert order_exponent(e_q)[0] == f * order_exponent(e_p)[0]

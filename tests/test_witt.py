@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from kax.errors import BudgetExceededError
-from kax.fields import galois_field
+from kax.fields import _poly_mod, _poly_mul, galois_field
 from kax.numtheory import big_witt_order, order_Wn
 from kax.witt import (
     eval_poly_int,
@@ -208,3 +208,28 @@ def test_field_add_neg_match_digit_loops(p, f):
         assert F.neg(a) == _digit_neg(F, a)
         for b in F.elements():
             assert F.add(a, b) == _digit_add(F, a, b)
+
+
+def _poly_product(F, a, b):
+    # the product by polynomial multiplication and reduction, independent
+    # of the field's log tables
+    prod = _poly_mul(F.to_coords(a), F.to_coords(b), F.p)
+    return F.from_coords(_poly_mod(prod, F.modulus, F.p))
+
+
+@pytest.mark.parametrize("p, f", [(p, f) for p in (2, 3, 5, 7, 11) for f in range(1, 8)
+                                  if p**f <= 128])
+def test_field_mul_matches_polynomial_products(p, f):
+    F = galois_field(p, f)
+    for a in F.elements():
+        for b in F.elements():
+            assert F.mul(a, b) == _poly_product(F, a, b), (a, b)
+
+
+def test_field_mul_matches_polynomial_products_at_q_512():
+    F = galois_field(2, 9)
+    rng = random.Random(512)
+    pairs = [(rng.randrange(512), rng.randrange(512)) for _ in range(20000)]
+    pairs += [(0, b) for b in range(512)] + [(a, 1) for a in range(512)]
+    for a, b in pairs:
+        assert F.mul(a, b) == _poly_product(F, a, b), (a, b)
