@@ -64,13 +64,15 @@ def _render_factor_text(gf: GroupFactor, expr: GroupExpr) -> str:
         raise kcalc.factor_digit_limit_error(gf.kind, gf.m_prime, gf.s) from exc
 
 
-def _bits_surely_too_long(bits: int) -> bool:
-    """True when an integer of at least 2**bits must pass the int-to-str limit.
+def _bits_surely_too_long(bits: int, limit: int | None = None) -> bool:
+    """True when an integer of at least 2**bits must pass `limit` digits,
+    by default the int-to-str limit.
 
     Such an integer has at least bits * 3 // 10 + 1 decimal digits, as each
     bit is worth more than 3/10 of a digit.  Off when the limit is 0.
     """
-    limit = sys.get_int_max_str_digits()
+    if limit is None:
+        limit = sys.get_int_max_str_digits()
     return limit != 0 and bits * 3 // 10 + 1 > limit
 
 
@@ -85,12 +87,14 @@ def render_text(expr: GroupExpr) -> str:
         return f"{body} ({o} order)" if o == "symbolic" else f"{body} (infinite)"
     n, c = o
     p = expr.p
+    # with the limit off (0) the default limit still bounds the decimal, so
+    # that no order is built digit by digit past it
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     # p**n >= 2**(n * (bit_length(p) - 1)): far past the limit the decimal
     # is never built, and nearer it its digit count decides exactly
-    if not _bits_surely_too_long(n * (p.bit_length() - 1)):
+    if not _bits_surely_too_long(n * (p.bit_length() - 1), limit):
         total = p**n * c
-        limit = sys.get_int_max_str_digits()
-        if limit == 0 or total < 10**limit:
+        if total < 10**limit:
             return f"{body} (order {total})"
     try:
         return f"{body} (order {p}^{n})" if c == 1 else f"{body} (order {p}^{n} * {c})"
@@ -300,12 +304,13 @@ def cmd_witt(args) -> int:
     from .witt import restrict, verschiebung, witt_ring
 
     require_prime(args.p)
-    ring = witt_ring(args.p, args.n, args.f)
     a = _parse_coords(args.a, args.n, args.f, args.p)
     if args.op in ("add", "mul"):
         if args.b is None:
             raise KaxError(f"witt {args.op} needs two vectors")
         b = _parse_coords(args.b, args.n, args.f, args.p)
+        # only add and mul build a ring: v and r move coordinates
+        ring = witt_ring(args.p, args.n, args.f)
         result = ring.add(a, b) if args.op == "add" else ring.mul(a, b)
     elif args.op == "v":
         result = verschiebung(a)

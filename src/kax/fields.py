@@ -86,7 +86,7 @@ class GaloisField:
         self.modulus = find_modulus(p, f)
         self._add = self._build_add_table()
         self._neg = [row.index(0) for row in self._add]
-        self._mul = self._build_mul_table()
+        self.primitive, self._mul = self._build_mul_table()
 
     def _build_add_table(self) -> list[list[int]]:
         # digit by digit: a + b = (a + b) % p + p * T[a // p][b // p], where
@@ -99,9 +99,9 @@ class GaloisField:
                      for a in range(size)]
         return table
 
-    def _build_mul_table(self) -> list[list[int]]:
+    def _build_mul_table(self) -> tuple[int, list[list[int]]]:
         # log/antilog tables over a primitive element g, whose q - 1 powers
-        # are the nonzero elements: a * b = g^(log a + log b)
+        # are the nonzero elements: a * b = g^(log a + log b); returns g too
         p, q = self.p, self.q
         for g in range(1, q):
             exp, coords = [1], self.to_coords(g)
@@ -113,7 +113,7 @@ class GaloisField:
         log = {a: i for i, a in enumerate(exp)}
         logs = [log[a] for a in range(1, q)]
         exp += exp  # g^(i + j) for i, j < q - 1 without a modulus
-        return [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
+        return g, [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
 
     def to_coords(self, a: int) -> list[int]:
         p = self.p

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate, product, repeat
 
 from .errors import BudgetExceededError, InternalError
-from .fields import galois_field
+from .fields import GaloisField, galois_field
 from .kcalc import RingSpec, order, relative_k
 from .numtheory import big_witt_order, require_prime
 from .witt import (
@@ -138,21 +139,65 @@ def check_counts(
     return report
 
 
+# the reference Witt arithmetic: the ghost-solved structure polynomials
+# evaluated over F_q, against which WittRing.add and WittRing.mul are checked
+
+
+@lru_cache(maxsize=None)
+def _folded_witt_polys(p: int, n: int, f: int):
+    """S_0..S_{n-1}, P_0..P_{n-1} of witt_polys(p, n) over F_{p^f}, and
+    the largest exponent in them.
+
+    Each is a list of (coefficient mod p, ((variable, exponent), ...))
+    monomials, each exponent folded into 1..q-1 by x^q = x.
+    """
+    q = p**f
+    polys = witt_polys(p, n)
+    folded = [[(c % p, tuple((v, (e - 1) % (q - 1) + 1) for v, e in enumerate(m) if e))
+               for m, c in poly.items() if c % p]
+              for poly in polys.sum_polys + polys.prod_polys]
+    max_exp = max((e for poly in folded for _, monom in poly for _, e in monom), default=1)
+    return folded, max_exp
+
+
+def _poly_witt_ops(field: GaloisField, n: int, a, b) -> tuple[tuple[int, ...], ...]:
+    """(a + b, a * b) in W_n(F_q) by the structure polynomials."""
+    folded, max_exp = _folded_witt_polys(field.p, n, field.f)
+    mul, add = field.mul, field.add
+    # the powers 0..max_exp of each variable, built once for both ops
+    pows = [list(accumulate(repeat(v, max_exp), mul, initial=1)) for v in a + b]
+    out = []
+    for poly in folded:
+        acc = 0
+        for c, monom in poly:
+            t = c
+            for v, e in monom:
+                t = mul(t, pows[v][e])
+            acc = add(acc, t)
+        out.append(acc)
+    return tuple(out[:n]), tuple(out[n:])
+
+
 def _ring_axiom_failures(p: int, n: int, f: int, triples: int, rng) -> str | None:
+    """Ring axioms on random triples, and add and mul against the reference:
+    the axioms alone cannot tell W_n from another ring of the same order."""
     ring = witt_ring(p, n, f)
     q = ring.field.q
     rand_vec = lambda: tuple(rng.randrange(q) for _ in range(n))
     for _ in range(triples):
         a, b, c = rand_vec(), rand_vec(), rand_vec()
-        if ring.add(a, b) != ring.add(b, a):
+        ab_sum, ab_prod = ring.add(a, b), ring.mul(a, b)
+        if (ab_sum, ab_prod) != _poly_witt_ops(ring.field, n, a, b):
+            return f"a+b or a*b differs from the Witt polynomials at {a}, {b}"
+        if ab_sum != ring.add(b, a):
             return f"a+b != b+a at {a}, {b}"
-        if ring.add(a, ring.add(b, c)) != ring.add(ring.add(a, b), c):
+        if ring.add(a, ring.add(b, c)) != ring.add(ab_sum, c):
             return f"add not associative at {a}, {b}, {c}"
-        if ring.mul(a, b) != ring.mul(b, a):
+        if ab_prod != ring.mul(b, a):
             return f"a*b != b*a at {a}, {b}"
-        if ring.mul(a, ring.mul(b, c)) != ring.mul(ring.mul(a, b), c):
+        if ring.mul(a, ring.mul(b, c)) != ring.mul(ab_prod, c):
             return f"mul not associative at {a}, {b}, {c}"
-        if ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c)):
+        if ring.mul(a, ring.add(b, c)) != ring.add(ab_prod, ring.mul(a, c)):
             return f"distributivity fails at {a}, {b}, {c}"
         if ring.add(a, ring.zero) != a or ring.mul(a, ring.one) != a:
             return f"identity fails at {a}"
@@ -183,7 +228,8 @@ def check_witt(
     triples: int = 100,
     seed: int = 0,
 ) -> list[ReportEntry]:
-    """Ring axioms, ghost identities, and the Z/p^n isomorphism oracle."""
+    """Ring axioms with add and mul against the structure polynomials,
+    ghost identities, and the Z/p^n isomorphism oracle."""
     rng = random.Random(seed)
     report = []
     for p in p_set:

@@ -1,23 +1,26 @@
 """Truncated p-typical Witt vectors over F_{p^f}.
 
-The structure polynomials are not taken from any closed form: they are
-solved exactly over the integers from the ghost-component identities
+WittRing computes in W_n(F_q) through its isomorphism with the Galois
+ring Z_q/p^n, in Teichmueller digits.  The universal structure
+polynomials are kept as oracle code: witt_polys solves them exactly over
+the integers from the ghost-component identities
 
     w_i(x) = sum_{j<=i} p^j * x_j^(p^(i-j)),
     w_i(S) = w_i(X) + w_i(Y),    w_i(P) = w_i(X) * w_i(Y),
 
-with integrality asserted coefficient by coefficient.  Vectors are plain
-tuples of field-element codes; WittRing carries the compiled polynomials
-and the field.
+with integrality asserted coefficient by coefficient, and kax.oracles
+checks WittRing against them.  Vectors are plain tuples of field-element
+codes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import BudgetExceededError, InternalError
-from .fields import GaloisField, galois_field
+from .fields import galois_field
 from .numtheory import require_prime
 
 # ---------------------------------------------------------------------------
@@ -94,17 +97,13 @@ def _ghost_poly(p: int, nvars: int, offset: int, i: int) -> Poly:
     return out
 
 
-@dataclass(frozen=True)
-class WittPolySet:
+class WittPolySet(namedtuple("WittPolySet", "p n sum_polys prod_polys")):
     """Sum and product structure polynomials for W_n, 2n variables each.
 
     Variables 0..n-1 are the X block, n..2n-1 the Y block.
     """
 
-    p: int
-    n: int
-    sum_polys: tuple[Poly, ...]
-    prod_polys: tuple[Poly, ...]
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -149,115 +148,100 @@ def eval_poly_int(poly: Poly, vals: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation over a finite field
+# runtime arithmetic in the Galois ring Z_q/p^n
 
-Compiled = list[tuple[int, tuple[tuple[int, int], ...]]]
-
-
-def _compile(poly: Poly, field: GaloisField) -> Compiled:
-    p, q = field.p, field.q
-    out: Compiled = []
-    for m, c in poly.items():
-        cr = c % p
-        if cr == 0:
-            continue
-        monom = []
-        for vi, e in enumerate(m):
-            if e:
-                # x^q = x in F_q, so fold the exponent into 1..q-1
-                if e >= q:
-                    e = (e - 1) % (q - 1) + 1
-                monom.append((vi, e))
-        out.append((cr, tuple(monom)))
-    return out
+# The ceiling on n * ceil(log2 p), the bits of p^n, for which a WittRing is
+# built.  An element of Z_q/p^n is f integers of that many bits, and the
+# Teichmueller lift takes one power to the exponent q^(n-1); at the ceiling
+# a ring over F_512 builds and multiplies in about half a second.
+MAX_WITT_BITS = 256
 
 
 class WittRing:
-    """Arithmetic in W_n(F_{p^f}) via the compiled structure polynomials."""
+    """Arithmetic in W_n(F_q), q = p^f, inside the Galois ring Z_q/p^n.
+
+    A vector maps to sum_i p^i tau(a_i^(p^-i)) in (Z/p^n)[x]/(m), m the
+    field modulus read over the integers and tau the Teichmueller lift.
+    Results are read back one digit at a time: what is left at level i is
+    tau(c) mod p with c = a_i^(p^-i); subtract tau(c) and divide by p.
+    """
 
     def __init__(self, p: int, n: int, f: int = 1):
         require_prime(p)
         if n < 1:
             raise ValueError("n must be >= 1")
+        if n * (p - 1).bit_length() > MAX_WITT_BITS:
+            raise BudgetExceededError(
+                f"W_{n} at p = {p} is past the ceiling n * ceil(log2 p) <= {MAX_WITT_BITS}")
         self.p = p
         self.n = n
-        self.field = galois_field(p, f)
-        polys = witt_polys(p, n)
-        self._sum = [_compile(s, self.field) for s in polys.sum_polys]
-        self._prod = [_compile(s, self.field) for s in polys.prod_polys]
+        self.field = F = galois_field(p, f)
         self.zero = (0,) * n
         self.one = (1,) + (0,) * (n - 1)
-        self._max_exp = max(
-            (e for c in self._sum + self._prod for _, mon in c for _, e in mon),
-            default=1,
-        )
+        self._modulus = F.modulus[:f]
+        # tau(g^k) = tau(g)^k for a primitive g, and tau(g) = g^(q^(n-1))
+        pn = p**n
+        mul_mod = lambda u, v: [c % pn for c in self._mul(u, v)]
+        base, tau_g = F.to_coords(F.primitive), [1] + [0] * (f - 1)
+        e = F.q ** (n - 1)
+        while e:
+            if e & 1:
+                tau_g = mul_mod(tau_g, base)
+            base, e = mul_mod(base, base), e >> 1
+        self._tau = tau = [[0] * f] * F.q
+        a, t = 1, [1] + [0] * (f - 1)
+        for _ in range(F.q - 1):
+            tau[a], a, t = t, F.mul(a, F.primitive), mul_mod(t, tau_g)
+        # level i lifts a as tau(a^(p^-i)) and reads its digit back as c^(p^i)
+        frob = [[F.pow(a, p**k) for a in F.elements()] for k in range(f)]
+        lifts = [[tau[b] for b in frob[-k % f]] for k in range(f)]
+        self._lifts = [lifts[i % f] for i in reversed(range(n))]
+        self._digit_tables = [frob[i % f] for i in range(n)]
+        self._weights = [p**k for k in range(f)]
 
-    def _check(self, a: tuple[int, ...]) -> None:
+    def _mul(self, a: list[int], b: list[int]) -> list[int]:
+        # schoolbook product, then x^k for k >= f reduced from the top down
+        f = len(a)
+        out = [0] * (2 * f - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        for k in range(2 * f - 2, f - 1, -1):
+            for j, m in enumerate(self._modulus):
+                out[k - f + j] -= out[k] * m
+        return out[:f]
+
+    def _image(self, a: tuple[int, ...]) -> list[int]:
+        # Horner's rule from the top digit, left unreduced mod p^n: the
+        # digits read back never see a multiple of p^n
         if len(a) != self.n:
             raise ValueError(f"expected length-{self.n} vector, got {a}")
-        if any(x < 0 or x >= self.field.q for x in a):
+        if min(a) < 0 or max(a) >= self.field.q:
             raise ValueError(f"coordinate out of field range in {a}")
+        p = self.p
+        acc = [0] * self.field.f
+        for lift, x in zip(self._lifts, reversed(a)):
+            acc = [u * p + v for u, v in zip(acc, lift[x])]
+        return acc
 
-    def _eval_all(
-        self, compiled: list[Compiled], a: tuple[int, ...], b: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        F = self.field
-        mul = F.mul
-        add = F.add
-        vals = a + b
-        # power tables per variable, built once per operation
-        pows = []
-        for v in vals:
-            row = [1, v]
-            for _ in range(self._max_exp - 1):
-                row.append(mul(row[-1], v))
-            pows.append(row)
+    def _read_digits(self, x: list[int]) -> tuple[int, ...]:
+        p, tau, weights = self.p, self._tau, self._weights
+        residue = p.__rmod__
         out = []
-        for comp in compiled:
-            acc = 0
-            for c, monom in comp:
-                t = c
-                for vi, e in monom:
-                    t = mul(t, pows[vi][e])
-                acc = add(acc, t)
-            out.append(acc)
+        for digit in self._digit_tables:
+            c = sum(map(operator.mul, map(residue, x), weights))
+            out.append(digit[c])
+            x = [(u - v) // p for u, v in zip(x, tau[c])]
         return tuple(out)
 
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        self._check(a)
-        self._check(b)
-        return self._eval_all(self._sum, a, b)
+        return self._read_digits(list(map(operator.add, self._image(a), self._image(b))))
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        self._check(a)
-        self._check(b)
-        return self._eval_all(self._prod, a, b)
+        return self._read_digits(self._mul(self._image(a), self._image(b)))
 
     def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        # -a is the additive inverse; for p odd it is coordinatewise negation.
-        # For p = 2, S_i = X_i + Y_i + g(X_<i, Y_<i), so with b_<i solved and
-        # b_i = 0 the i-th sum coordinate is a_i + g, and b_i is its negative.
-        self._check(a)
-        if self.p != 2:
-            return tuple(self.field.neg(x) for x in a)
-        b = list(self.zero)
-        for i in range(self.n):
-            b[i] = self.field.neg(self.add(a, tuple(b))[i])
-        return tuple(b)
-
-    def scalar(self, k: int) -> tuple[int, ...]:
-        """k-fold sum of 1, i.e. the image of the integer k."""
-        out = self.zero
-        a = self.one
-        neg = k < 0
-        k = abs(k)
-        while k:
-            if k & 1:
-                out = self.add(out, a)
-            k >>= 1
-            if k:
-                a = self.add(a, a)
-        return self.neg(out) if neg else out
+        return self._read_digits([-u for u in self._image(a)])
 
 
 @lru_cache(maxsize=None)

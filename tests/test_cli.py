@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -167,6 +169,37 @@ def test_witt_ops(capsys):
                  "1:1", "0:1"]) == 0
     assert capsys.readouterr().out == "1:0\n"
     assert out1 == "1,2\n"
+
+
+@pytest.mark.parametrize("p, n", [(2, 7), (3, 5)])
+def test_witt_past_the_old_solve_answers(p, n):
+    # the ghost solve of W_7(F_2) or W_5(F_3) never finished; restriction
+    # to W_(n-1), a ring map, checks the answer against the ring below
+    from kax.witt import restrict, witt_ring
+
+    rng = random.Random(n)
+    a = tuple(rng.randrange(p) for _ in range(n))
+    b = tuple(rng.randrange(p) for _ in range(n))
+    proc = run_cli("witt", "mul", "--p", str(p), "--n", str(n),
+                   ",".join(map(str, a)), ",".join(map(str, b)), timeout=1)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    product = tuple(int(x) for x in proc.stdout.split(","))
+    assert restrict(product) == witt_ring(p, n - 1).mul(restrict(a), restrict(b))
+
+
+@pytest.mark.parametrize("n, code", [(256, 0), (257, 3)])
+def test_witt_ceiling_at_q_512(n, code):
+    # n * ceil(log2 p) <= 256: the last admitted and the first refused
+    # cell over F_512
+    vec = ",".join(["1:0:1:1:0:0:1:0:1"] * n)
+    proc = run_cli("witt", "mul", "--p", "2", "--n", str(n), "--f", "9", vec, vec,
+                   timeout=2)
+    assert proc.returncode == code
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: budget exceeded: W_257 at p = 2 is past the ceiling")
+    else:
+        assert proc.stderr == "" and len(proc.stdout.split(",")) == n
 
 
 def test_usage_errors(capsys):
@@ -355,6 +388,23 @@ def test_text_order_surely_too_long_is_refused_before_it_is_built(argv):
     assert proc.stdout.endswith(f" {note}\n")
 
 
+def test_text_order_with_the_str_limit_off_is_bounded(capsys):
+    # a limit of 0 lets str() build any decimal; the order note still
+    # stops at the default limit, so 3^N prints at once
+    argv = ["compute", "--p", "3", "--d", "4", "--ring", "Fq:3", "--degree", "200"]
+    [(p, n, c)] = _json_order_exponents(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        t0 = time.perf_counter()
+        assert main(argv) == 0
+        elapsed = time.perf_counter() - t0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert elapsed < 1
+    assert c == 1 and capsys.readouterr().out.endswith(f" (order 3^{n})\n")
+
+
 def test_order_bound_only_refuses_what_str_refuses(capsys):
     from kax.cli import _bits_surely_too_long
 
@@ -512,3 +562,5 @@ def test_witt_and_verify_import_their_layers_when_run(argv):
     codes, loaded = _run_main_in_fresh_interpreter(argv)
     assert codes == [0]
     assert "kax.witt" in loaded
+    if argv[0] == "witt":
+        assert "dataclasses" not in loaded

@@ -3,10 +3,14 @@ from itertools import product
 
 import pytest
 
+from kax import witt
 from kax.errors import BudgetExceededError
 from kax.fields import _poly_mod, _poly_mul, galois_field
 from kax.numtheory import big_witt_order, order_Wn
+from kax.oracles import _poly_witt_ops
 from kax.witt import (
+    MAX_WITT_BITS,
+    WittRing,
     eval_poly_int,
     ghost,
     iso_with_zpn,
@@ -164,11 +168,60 @@ def test_neg_p2_matches_search():
                 assert ring.add(a, neg) == ring.zero
 
 
-def test_scalar_multiplication_by_p_is_V_of_frobenius_fixed():
-    # over the prime field, p*1 = V(1)
+def test_p_fold_sum_of_one_is_V_of_one():
+    # over the prime field, p*1 = 1 + ... + 1 = V(1)
     for p in (2, 3, 5):
         ring = witt_ring(p, 2)
-        assert ring.scalar(p) == (0, 1)
+        total = ring.zero
+        for _ in range(p):
+            total = ring.add(total, ring.one)
+        assert total == verschiebung((1,))
+
+
+@pytest.mark.parametrize("p, n, f", [(2, 4, 1), (2, 4, 2), (2, 5, 1), (2, 5, 2),
+                                     (3, 4, 1), (3, 4, 2)])
+def test_ring_matches_the_witt_polynomials_past_gate_03(p, n, f):
+    # the cells past gate 03's n <= 3 grid whose polynomials still solve
+    # in a fraction of a second
+    ring = witt_ring(p, n, f)
+    rng = random.Random(p * 100 + n * 10 + f)
+    for _ in range(150):
+        a = tuple(rng.randrange(ring.field.q) for _ in range(n))
+        b = tuple(rng.randrange(ring.field.q) for _ in range(n))
+        assert (ring.add(a, b), ring.mul(a, b)) == _poly_witt_ops(ring.field, n, a, b)
+        assert ring.add(a, ring.neg(a)) == ring.zero
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_w6_builds_and_computes_without_the_polynomials(monkeypatch, f):
+    def no_solve(*args):
+        raise AssertionError("WittRing solved the Witt polynomials")
+
+    monkeypatch.setattr(witt, "witt_polys", no_solve)
+    ring = WittRing(2, 6, f)
+    lower = WittRing(2, 5, f)
+    rng = random.Random(f)
+    for _ in range(100):
+        a = tuple(rng.randrange(ring.field.q) for _ in range(6))
+        b = tuple(rng.randrange(ring.field.q) for _ in range(6))
+        # restriction is a ring map onto W_5, checked above against the
+        # polynomials
+        assert restrict(ring.add(a, b)) == lower.add(restrict(a), restrict(b))
+        assert restrict(ring.mul(a, b)) == lower.mul(restrict(a), restrict(b))
+        assert ring.add(a, ring.neg(a)) == ring.zero
+    # k -> k * 1 is Z/64 -> W_6(F_2^f): 64 distinct multiples, then 0
+    multiples = [ring.zero]
+    for _ in range(64):
+        multiples.append(ring.add(multiples[-1], ring.one))
+    assert len(set(multiples[:64])) == 64 and multiples[64] == ring.zero
+
+
+def test_ring_past_the_ceiling_is_a_budget_error():
+    assert MAX_WITT_BITS == 256
+    WittRing(5, 85)  # ceil(log2 5) = 3 bits a level
+    with pytest.raises(BudgetExceededError,
+                       match=r"W_86 at p = 5 is past the ceiling n \* ceil\(log2 p\) <= 256"):
+        WittRing(5, 86)
 
 
 def test_field_f2_arithmetic():
