@@ -304,6 +304,10 @@ def cmd_witt(args) -> int:
     from .witt import restrict, verschiebung, witt_ring
 
     require_prime(args.p)
+    if args.n < 1:
+        raise KaxError("--n must be >= 1")
+    if args.f < 1:
+        raise KaxError("--f must be >= 1")
     a = _parse_coords(args.a, args.n, args.f, args.p)
     if args.op in ("add", "mul"):
         if args.b is None:

@@ -15,9 +15,9 @@ codes.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 from functools import lru_cache
+from operator import add, getitem, mul
 
 from .errors import BudgetExceededError, InternalError
 from .fields import galois_field
@@ -162,8 +162,13 @@ class WittRing:
 
     A vector maps to sum_i p^i tau(a_i^(p^-i)) in (Z/p^n)[x]/(m), m the
     field modulus read over the integers and tau the Teichmueller lift.
-    Results are read back one digit at a time: what is left at level i is
-    tau(c) mod p with c = a_i^(p^-i); subtract tau(c) and divide by p.
+    The lift of a vector is one pass over shared tables: level i looks a_i
+    up in one of f lift tables (the one for the Frobenius twist i mod f,
+    shared by every level with that twist), and each of the f coordinates
+    of the image is the dot product of the looked-up column with
+    (1, p, ..., p^(n-1)).  Results are read back one digit at a time: what
+    is left at level i is tau(c) mod p with c = a_i^(p^-i); subtract tau(c)
+    and divide by p.
     """
 
     def __init__(self, p: int, n: int, f: int = 1):
@@ -195,9 +200,9 @@ class WittRing:
         # level i lifts a as tau(a^(p^-i)) and reads its digit back as c^(p^i)
         frob = [[F.pow(a, p**k) for a in F.elements()] for k in range(f)]
         lifts = [[tau[b] for b in frob[-k % f]] for k in range(f)]
-        self._lifts = [lifts[i % f] for i in reversed(range(n))]
+        self._by_level = [lifts[i % f] for i in range(n)]
+        self._pows = [p**i for i in range(n)]
         self._digit_tables = [frob[i % f] for i in range(n)]
-        self._weights = [p**k for k in range(f)]
 
     def _mul(self, a: list[int], b: list[int]) -> list[int]:
         # schoolbook product, then x^k for k >= f reduced from the top down
@@ -212,30 +217,29 @@ class WittRing:
         return out[:f]
 
     def _image(self, a: tuple[int, ...]) -> list[int]:
-        # Horner's rule from the top digit, left unreduced mod p^n: the
-        # digits read back never see a multiple of p^n
+        # one dot product with (1, p, ..., p^(n-1)) per coordinate, left
+        # unreduced mod p^n: the digits read back never see a multiple of p^n
         if len(a) != self.n:
             raise ValueError(f"expected length-{self.n} vector, got {a}")
         if min(a) < 0 or max(a) >= self.field.q:
             raise ValueError(f"coordinate out of field range in {a}")
-        p = self.p
-        acc = [0] * self.field.f
-        for lift, x in zip(self._lifts, reversed(a)):
-            acc = [u * p + v for u, v in zip(acc, lift[x])]
-        return acc
+        pows = self._pows
+        return [sum(map(mul, pows, col)) for col in zip(*map(getitem, self._by_level, a))]
 
     def _read_digits(self, x: list[int]) -> tuple[int, ...]:
-        p, tau, weights = self.p, self._tau, self._weights
-        residue = p.__rmod__
+        p, tau = self.p, self._tau
         out = []
         for digit in self._digit_tables:
-            c = sum(map(operator.mul, map(residue, x), weights))
+            # the residue of x mod p, as a field-element code
+            c = 0
+            for u in reversed(x):
+                c = c * p + u % p
             out.append(digit[c])
             x = [(u - v) // p for u, v in zip(x, tau[c])]
         return tuple(out)
 
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return self._read_digits(list(map(operator.add, self._image(a), self._image(b))))
+        return self._read_digits(list(map(add, self._image(a), self._image(b))))
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return self._read_digits(self._mul(self._image(a), self._image(b)))

@@ -19,11 +19,15 @@ adjacent equal letters, so it visits only the Lyndon prefixes of axes
 words rather than filtering every Lyndon word afterwards.
 
 The oracle count_by_enumeration runs its own copy of that walk which
-batches the last letter: once a prefix of length s - 1 is fixed, the
-letters that close a Lyndon word form one run up to d - 1, so the walk
-counts the run in one step instead of visiting each word, and visits about
-d times fewer nodes.  It still counts leaves of the walk, never the Mobius
-sums, so it stays an independent check of count_aperiodic / count_axes.
+batches its last two levels: once a prefix of length s - 1 is fixed, the
+letters that close a Lyndon word form one run up to d - 1, and once a
+prefix of length s - 2 is fixed, each step of the next letter closes a
+Lyndon word of length s - 1 whose fill letter is the first one, so every
+such step adds a run of the same length.  The walk counts both in one step
+instead of visiting each word, so it steps mostly through the Lyndon words
+of length at most s - 2, about d^2 times fewer nodes than the word-by-word
+walk.  It still counts leaves of the walk, never the Mobius sums, so it
+stays an independent check of count_aperiodic / count_axes.
 """
 
 from __future__ import annotations
@@ -230,9 +234,14 @@ def count_by_enumeration(
 
     This is the independent oracle for count_aperiodic / count_axes: it
     counts the leaves of the walk of _lyndon_words and never touches the
-    Mobius formulas.  Where that walk would step the last letter of a word
-    of length s through lo..d-1, yielding each step as a Lyndon word, this
-    loop adds the length of the run at once and pops the letter.
+    Mobius formulas.  It batches two levels of that walk.  Where the walk
+    would step the last letter of a word of length s through lo..d-1,
+    yielding each step as a Lyndon word, this loop adds the length of the
+    run at once and pops the letter.  For s >= 3 it then batches the level
+    above: each remaining step of the last letter of the prefix of length
+    s - 1 closes a Lyndon word of length s - 1, which the walk fills with
+    its first letter w[0] and whose run it counts, so the loop adds the
+    runs of all those steps at once and pops that letter too.
     """
     if s < 1 or d < 1:
         raise ValueError("count_by_enumeration requires s >= 1 and d >= 1")
@@ -253,6 +262,17 @@ def count_by_enumeration(
                 # greater than its first.  A one-letter word is its own
                 # neighbour, so s = 1 counts none.
                 count += d - lo - (w[-1] >= lo)
+            if s > 2:
+                # each step v > cur of the prefix's last letter fills with
+                # w[0], so its run is w[0] + 1..d - 1.  For axes, the step
+                # v equal to its left neighbour w[-1] is skipped, and each
+                # run drops v itself, which lies in it: v ends a Lyndon
+                # word of length >= 2, so v > w[0].
+                cur = w.pop()
+                if not axes:
+                    count += (d - 1 - cur) * (d - 1 - w[0])
+                else:
+                    count += (d - 1 - cur - (cur < w[-1])) * (d - 2 - w[0])
         else:
             # one step of _lyndon_words below length s
             w[-1] += 1

@@ -202,6 +202,19 @@ def test_witt_ceiling_at_q_512(n, code):
         assert proc.stderr == "" and len(proc.stdout.split(",")) == n
 
 
+@pytest.mark.parametrize("op", ["add", "mul", "v", "r"])
+@pytest.mark.parametrize("flag", ["--n", "--f"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_witt_rejects_a_length_or_degree_below_one(capsys, op, flag, value):
+    # --n and --f size the vectors, so they are refused before a vector is
+    # read and not reported as a malformed vector
+    sizes = {"--n": "1", "--f": "1", flag: value}
+    argv = ["witt", op, "--p", "2", "--n", sizes["--n"], "--f", sizes["--f"], "1", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {flag} must be >= 1\n")
+
+
 def test_usage_errors(capsys):
     assert main(["compute", "--p", "4", "--d", "1", "--ring", "Fq:4",
                  "--degree", "1"]) == 2

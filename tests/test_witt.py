@@ -76,6 +76,17 @@ def test_mismatched_vectors_rejected():
         r.add((1, 5), (1, 0))
 
 
+@pytest.mark.parametrize("op", ["add", "mul", "neg"])
+def test_coordinates_outside_the_field_rejected(op):
+    # the lift is a table lookup, so without the range check -1 would
+    # silently read the last element and q would raise IndexError
+    r = witt_ring(3, 2)
+    for bad in (-1, r.field.q):
+        vec = (0, bad)
+        with pytest.raises(ValueError, match="out of field range"):
+            getattr(r, op)(*((vec,) if op == "neg" else (r.one, vec)))
+
+
 def test_verschiebung():
     assert verschiebung((1,)) == (0, 1)
     assert verschiebung((0, 0)) == (0, 0, 0)

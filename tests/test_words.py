@@ -158,6 +158,16 @@ def test_counts_match_enumeration_small_grid():
             assert count_axes(s, d) == axes
 
 
+def test_counting_walk_matches_lyndon_walk_on_every_small_cell():
+    # the counting walk batches the last level from s = 1 and the level
+    # above it from s = 3; d = 1 and d = 2 leave both batches short runs
+    cells = [(s, d) for d in range(1, 7) for s in range(1, 11 if d <= 3 else 9)]
+    for s, d in cells:
+        for axes in (False, True):
+            expected = sum(1 for _ in _lyndon_words(s, d, axes))
+            assert count_by_enumeration(s, d, axes) == expected, (s, d, axes)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=6),
        st.booleans())
