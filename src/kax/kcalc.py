@@ -28,23 +28,22 @@ ascending, then s ascending: the canonical order.  The rows of one
 table() share their factors, which are read-only named tuples.  Length-0
 Witt factors are pruned throughout.
 
-Assembly builds each Witt factor together with its JSON wire entry in
-one direct construction (GroupFactor._witt); a factor made by GroupFactor()
-(the Quillen summands, group_expr_from_dict) builds its entry on first
-use of GroupFactor.wire.  Both go through _wire_entry, the one entry
-format, where an integer too long for the interpreter's int-to-str limit
-is a budget error.  Rows that share a factor also share its entry;
-group_expr_to_dict returns those shared entries, which callers must treat
-as read-only.
+Assembly builds each Witt factor as a plain tuple and, beside it in its
+strip, its JSON wire entry; a row is cut from both at the same offsets
+and carries its entries (after those of its Quillen summands), which
+group_expr_to_dict copies.  Rows that share a factor share its entry, so
+the entries are read-only.  An expression made any other way (by hand,
+by group_expr_from_dict, by _replace) carries none: group_expr_to_dict
+builds its entries from its factors.  Every entry goes through
+_wire_entry, the one entry format, where an integer too long for the
+interpreter's int-to-str limit is a budget error.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
-from functools import cached_property
-from itertools import chain
-from operator import attrgetter
+from functools import lru_cache
 
 from .errors import BudgetExceededError, KaxError, digit_limit_error
 from .numtheory import big_witt_order, divisors, require_prime
@@ -133,43 +132,9 @@ class GroupFactor(namedtuple(
 
     kind is "witt" (length and ring set), "cyclic" (order set) or "free"
     (rank set); m_prime, s and nu record where assembly found the factor.
-    Read-only: the fields are the tuple's items, and the instance dict
-    holds only the cached wire entry.
     """
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GroupFactor is read-only: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"GroupFactor is read-only: cannot delete {name!r}")
-
-    @cached_property
-    def wire(self) -> dict:
-        """This factor's JSON wire entry, built on first use.
-
-        The dict is shared by every row and call that serialises this
-        factor: read it, never modify it.  It lives in the instance dict,
-        outside the tuple, so ==, hash and repr do not see it.  Factors
-        made by assembly come with it already there (see _witt).
-        """
-        ring_text = None if self.ring is None else _ring_to_str(self.ring)
-        return _wire_entry(self.kind, self.multiplicity, self.length, ring_text,
-                           self.order, self.rank, self.m_prime, self.s, self.nu)
-
-    @classmethod
-    def _witt(cls, multiplicity: int, length: int, ring: RingSpec, ring_text: str,
-              m_prime: int, s: int, nu: int | None) -> "GroupFactor":
-        """A witt factor and its wire entry in one construction.
-
-        Builds the tuple of the nine fields directly and puts the wire entry,
-        which the wire property would otherwise build on first use, into
-        the instance dict.  The result equals GroupFactor("witt", ...) with
-        the same fields.
-        """
-        gf = tuple.__new__(cls, ("witt", multiplicity, length, ring, None, None, m_prime, s, nu))
-        gf.__dict__["wire"] = _wire_entry("witt", multiplicity, length, ring_text, None, None,
-                                          m_prime, s, nu)
-        return gf
+    __slots__ = ()
 
 
 class GroupExpr(namedtuple("GroupExpr", "degree p completeness factors", defaults=((),))):
@@ -177,25 +142,22 @@ class GroupExpr(namedtuple("GroupExpr", "degree p completeness factors", default
 
     completeness is "p-complete", "integral" or
     "integral-because-p-power-torsion"; factors is a tuple of GroupFactor.
+    Read-only.  A row made by assembly also carries the JSON wire entries
+    of its factors in its instance dict, outside the tuple, so ==, hash and
+    repr do not see them; any other expression has _entries None.
     """
 
-    __slots__ = ()
+    _entries = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroupExpr is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GroupExpr is read-only: cannot delete {name!r}")
 
     @property
     def is_trivial(self) -> bool:
         return not self.factors
-
-
-def _sort_key(gf: GroupFactor):
-    kind_rank = {"free": 0, "cyclic": 1, "witt": 2}[gf.kind]
-    return (
-        kind_rank,
-        gf.m_prime if gf.m_prime is not None else -1,
-        gf.s if gf.s is not None else -1,
-        gf.nu if gf.nu is not None else -1,
-        gf.length if gf.length is not None else -1,
-        gf.order if gf.order is not None else -1,
-    )
 
 
 def order_exponent(expr: GroupExpr) -> tuple[int, int] | str:
@@ -228,16 +190,13 @@ def order(expr: GroupExpr) -> int | str:
 # the relative K-group assembly
 
 
-def _run(
-    ring: RingSpec, ring_text: str, d: int, counter: Callable[[int, int], int],
-    m_prime: int, t: int, odd: bool,
-) -> list[GroupFactor]:
-    """The factors of one (m', t) run, s ascending."""
-    p = ring.p
-    witt = GroupFactor._witt
+# a run's shape depends on neither d nor the ring, and every table and
+# single degree asks for the same (p, m', t, parity) again
+@lru_cache(maxsize=4096)
+def _run_shape(p: int, m_prime: int, t: int, odd: bool) -> tuple[tuple[int, int], ...]:
+    """The (s, length) pairs of the (m', t) run with length > 0, s ascending."""
     p2_odd = odd and p == 2
-    nu = 0 if p2_odd else None
-    run = []
+    shape = []
     for s in divisors(m_prime if p2_odd else m_prime * p ** (t - 1)):
         if not odd and s % 2:
             continue
@@ -246,12 +205,9 @@ def _run(
         while u % p == 0:
             u //= p
             length -= 1
-        if length <= 0:
-            continue
-        mult = counter(s, d)
-        if mult:
-            run.append(witt(mult, length, ring, ring_text, m_prime, s, nu))
-    return run
+        if length > 0:
+            shape.append((s, length))
+    return tuple(shape)
 
 
 def _assemble_rows(
@@ -260,51 +216,72 @@ def _assemble_rows(
     degrees: range,
     counter: Callable[[int, int], int],
     m_prime_limit: int | None = None,
-) -> list[tuple[GroupFactor, ...]]:
-    """Witt factors of each degree, canonically ordered.
+) -> list[tuple[tuple[GroupFactor, ...], tuple[dict, ...]]]:
+    """Witt factors of each degree, canonically ordered, and their wire entries.
 
     Row n joins, t descending, the runs (m', t) with m' of n's parity
     (coprime to p when p is odd) and n // p^t < m' <= n // p^(t-1), capped
     at m_prime_limit: these are exactly the m' whose window at n is t, so
-    the row comes out m' ascending.  Each (parity, t) strip holds its runs
-    m' ascending, with the offset at which each m' starts; both bounds
-    only grow with n, so over ascending degrees a strip is only ever
-    extended, and a row is one slice of each strip it meets.
+    the row comes out m' ascending.  Each strip, one per parity and t,
+    holds its runs m' ascending, factors and entries side by side, with the
+    offset at which each m' starts; both bounds only grow with n, so over
+    ascending degrees a strip is only ever extended, and a row is one slice
+    of each strip it meets.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     p = ring.p
     ring_text = _ring_to_str(ring)
-    # (parity, t) -> (first m', factors, offsets); the run of
-    # m' = first + 2i starts at factors[offsets[i]]
-    strips: dict[tuple[int, int], tuple[int, list[GroupFactor], list[int]]] = {}
+    new = tuple.__new__
+    # per parity, t -> (first m', factors, entries, offsets); the run of
+    # m' = first + 2i starts at offsets[i] in both lists.  A single degree
+    # can meet a t before any lower one, so the strips are keyed by t.
+    strips: tuple[dict, dict] = ({}, {})
     rows = []
+    top_t, top_power = 1, 1  # the largest t with p^(t-1) <= n, and p^(t-1)
     for n in degrees:
+        row_factors: list[GroupFactor] = []
+        row_entries: list[dict] = []
+        while top_power * p <= n:
+            top_power *= p
+            top_t += 1
         parity = n % 2
-        hi_cap = n if m_prime_limit is None else min(n, m_prime_limit)
-        slices: list[list[GroupFactor]] = []
-        t = 1
-        power = 1  # p^(t-1)
-        while power <= n:
-            hi = min(n // power, hi_cap)
-            power *= p
-            lo = n // power + 1
+        odd = parity == 1
+        nu = 0 if odd and p == 2 else None
+        by_t = strips[parity]
+        cap = n if m_prime_limit is None or m_prime_limit > n else m_prime_limit
+        t, power = top_t, (top_power if n > 0 else 0)  # power is p^(t-1)
+        low = 0  # n // p^t, as p^top_t > n
+        while power:
+            high = n // power
+            hi = high if high < cap else cap
+            lo = low + 1
             lo += (lo - parity) % 2  # the first m' > n // p^t of n's parity
             if lo <= hi:
-                strip = strips.get((parity, t))
+                strip = by_t.get(t)
                 if strip is None:
-                    strip = strips[parity, t] = (lo, [], [])
-                first, factors, offsets = strip
+                    strip = by_t[t] = (lo, [], [], [])
+                first, factors, entries, offsets = strip
                 m_prime = first + 2 * len(offsets)
                 while m_prime <= hi:
                     offsets.append(len(factors))
                     if p == 2 or m_prime % p:
-                        factors.extend(_run(ring, ring_text, d, counter, m_prime, t, parity == 1))
+                        for s, length in _run_shape(p, m_prime, t, odd):
+                            mult = counter(s, d)
+                            if mult:
+                                factors.append(new(GroupFactor, (
+                                    "witt", mult, length, ring, None, None, m_prime, s, nu)))
+                                entries.append(_wire_entry(
+                                    "witt", mult, length, ring_text, None, None, m_prime, s, nu))
                     m_prime += 2
                 # the strip ends at hi, so the slice runs to its end
-                slices.append(factors[offsets[(lo - first) // 2]:])
-            t += 1
-        rows.append(tuple(chain.from_iterable(reversed(slices))))
+                start = offsets[(lo - first) // 2]
+                row_factors += factors[start:]
+                row_entries += entries[start:]
+            low = high
+            power //= p
+            t -= 1
+        rows.append((tuple(row_factors), tuple(row_entries)))
     return rows
 
 
@@ -312,8 +289,9 @@ def _rows(
     ring: RingSpec, d: int, degrees: range, variant: str,
     quillen_convention: str = "standard", m_prime_limit: int | None = None,
 ) -> list[GroupExpr]:
-    """One GroupExpr per degree: the one map from a variant to its word
-    count, its d (the dual numbers are d = 1) and its Quillen summands."""
+    """One GroupExpr per degree, carrying its wire entries: the one map
+    from a variant to its word count, its d (the dual numbers are d = 1)
+    and its Quillen summands."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     counter = count_axes if variant == "axes" else count_aperiodic
@@ -321,18 +299,27 @@ def _rows(
         d = 1
     if variant == "integral":
         ring = RingSpec.from_q(ring.q)
-    rows = _assemble_rows(ring, d, degrees, counter, m_prime_limit)
-    if variant == "integral":
-        # the free and cyclic Quillen summands sort before every witt factor
-        return [
-            GroupExpr(n, ring.p, "integral", _quillen_factors(ring.q, n, quillen_convention) + row)
-            for n, row in zip(degrees, rows)
-        ]
-    # over F_q and perfect F_p the relative homotopy is p-power torsion, so
-    # nothing is lost integrally
-    completeness = ("integral-because-p-power-torsion"
-                    if ring.kind in ("finite_field", "perfect_fp") else "p-complete")
-    return [GroupExpr(n, ring.p, completeness, row) for n, row in zip(degrees, rows)]
+        completeness = "integral"
+    elif ring.kind in ("finite_field", "perfect_fp"):
+        # over F_q and perfect F_p the relative homotopy is p-power
+        # torsion, so nothing is lost integrally
+        completeness = "integral-because-p-power-torsion"
+    else:
+        completeness = "p-complete"
+    p = ring.p
+    new = tuple.__new__
+    exprs = []
+    for n, (factors, entries) in zip(degrees, _assemble_rows(ring, d, degrees, counter,
+                                                             m_prime_limit)):
+        if variant == "integral":
+            # the free and cyclic Quillen summands sort before every witt factor
+            quillen = _quillen_factors(ring.q, n, quillen_convention)
+            factors = quillen + factors
+            entries = tuple(map(_factor_entry, quillen)) + entries
+        expr = new(GroupExpr, (n, p, completeness, factors))
+        expr.__dict__["_entries"] = entries
+        exprs.append(expr)
+    return exprs
 
 
 def relative_k(
@@ -466,18 +453,28 @@ def _wire_entry(
     return entry
 
 
+def _factor_entry(gf: GroupFactor) -> dict:
+    """The wire entry of one factor, from the factor alone."""
+    kind, multiplicity, length, ring, *rest = gf
+    return _wire_entry(kind, multiplicity, length,
+                       None if ring is None else _ring_to_str(ring), *rest)
+
+
 def group_expr_to_dict(expr: GroupExpr) -> dict:
     """The JSON wire form of expr: a fresh top-level dict and factor list.
 
-    The factor entries are the factors' shared GroupFactor.wire dicts, so
-    they are read-only: copy one before changing it.
+    A row made by assembly copies the entries it carries, which every row
+    and call that serialises the same factor shares, so they are
+    read-only: copy one before changing it.  Any other expression gets an
+    entry built from each factor.
     """
+    entries = expr._entries
     complete = "integral" if expr.completeness.startswith("integral") else "p-complete"
     return {
         "degree": expr.degree,
         "p": expr.p,
         "complete": complete,
-        "factors": list(map(attrgetter("wire"), expr.factors)),
+        "factors": list(map(_factor_entry, expr.factors)) if entries is None else list(entries),
     }
 
 

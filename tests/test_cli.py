@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -102,6 +103,48 @@ def test_table(capsys):
         "degree 2: 0",
         "degree 3: W_2(F_3) (order 9)",
     ]
+
+
+# sha256 of the whole stdout of `kax table ... --max-degree 200`: no
+# rewrite of assembly or rendering may change one byte of these
+GOLDEN_TABLES = {
+    "Fq5-integral-json": (
+        ["--p", "5", "--d", "6", "--ring", "Fq:5", "--integral", "--format", "json"],
+        "35125ff2e344220a0f11560c1db00a84e689861985fe9ac264a954a4a4891841"),
+    "zpcycl5-json": (
+        ["--p", "5", "--d", "6", "--ring", "zpcycl:5", "--format", "json"],
+        "6ea72dc39b47716ccffc929efb29a7ce335d2ff1b790e5f02199e452e842f7f7"),
+    "Fq4-axes-json": (
+        ["--p", "2", "--d", "6", "--ring", "Fq:4", "--variant", "axes", "--format", "json"],
+        "6f155e6db48f5a6d729a462a378a601326756267156c42958f31b1588354bdf6"),
+    "perfectoid3-dual-json": (
+        ["--p", "3", "--d", "1", "--ring", "perfectoid:R:3", "--variant", "dual",
+         "--format", "json"],
+        "a0eb672b93abdd9dedec4fec612a4a1e9483cc0d35408aff27860f7e4f5674af"),
+    "Fq9-text": (
+        ["--p", "3", "--d", "2", "--ring", "Fq:9", "--format", "text"],
+        "038c3bffed2f52c49bbf1472ad4886ade08d55a2107ca9fa51f9880dd2510635"),
+    "Fq9-latex": (
+        ["--p", "3", "--d", "2", "--ring", "Fq:9", "--format", "latex"],
+        "a330a815f231d6ef3e2b1e66e65a08445d65b603aa1b418303d8737365149186"),
+}
+
+
+@pytest.mark.parametrize("cell", GOLDEN_TABLES)
+def test_table_output_bytes_are_pinned(capsys, cell):
+    argv, digest = GOLDEN_TABLES[cell]
+    assert main(["table", *argv, "--max-degree", "200"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def test_table_output_bytes_are_pinned_in_a_fresh_process():
+    argv, digest = GOLDEN_TABLES["perfectoid3-dual-json"]
+    proc = subprocess.run([sys.executable, "-m", "kax", "table", *argv, "--max-degree", "200"],
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 @pytest.mark.parametrize("fmt", ["text", "latex"])

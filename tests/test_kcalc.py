@@ -9,7 +9,8 @@ from kax.kcalc import (
     GroupExpr,
     GroupFactor,
     RingSpec,
-    _sort_key,
+    _factor_entry,
+    _run_shape,
     axes_relative_k,
     dual_numbers_big_witt_order,
     dual_numbers_k,
@@ -383,6 +384,50 @@ def test_per_degree_functions_equal_reference_assembly_with_limits(q):
                     assert function(d, degree, limit) == want, (q, variant, d, degree, limit)
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_run_shape_matches_a_naive_scan(p):
+    # every (m', t) run a table up to degree 200 can ask for, and more
+    for odd in (False, True):
+        p2_odd = odd and p == 2
+        for m_prime in range(1, 201):
+            t = 1
+            while m_prime * p ** (t - 1) <= 200 * p:
+                n = m_prime if p2_odd else m_prime * p ** (t - 1)
+                want = []
+                for s in range(1, n + 1):
+                    if n % s or (not odd and s % 2):
+                        continue
+                    length = 1 if p2_odd else t - vp(p, s)
+                    if length > 0:
+                        want.append((s, length))
+                assert _run_shape(p, m_prime, t, odd) == tuple(want), (p, m_prime, t, odd)
+                t += 1
+
+
+def test_table_json_is_the_same_with_the_run_shapes_cold_and_warm():
+    for ring, variant, d, max_degree in TABLE_GRID:
+        if max_degree < 200:
+            continue
+        spec = parse_ring_spec(ring)
+        _run_shape.cache_clear()
+        cold = json.dumps([group_expr_to_dict(e) for e in table(spec, d, max_degree, variant)])
+        assert _run_shape.cache_info().currsize > 0
+        warm = json.dumps([group_expr_to_dict(e) for e in table(spec, d, max_degree, variant)])
+        assert warm == cold, (ring, variant, d)
+
+
+def _sort_key(gf):
+    kind_rank = {"free": 0, "cyclic": 1, "witt": 2}[gf.kind]
+    return (
+        kind_rank,
+        gf.m_prime if gf.m_prime is not None else -1,
+        gf.s if gf.s is not None else -1,
+        gf.nu if gf.nu is not None else -1,
+        gf.length if gf.length is not None else -1,
+        gf.order if gf.order is not None else -1,
+    )
+
+
 def test_canonical_ordering_and_determinism():
     a = relative_k(F3, 3, 9)
     b = relative_k(F3, 3, 9)
@@ -425,27 +470,46 @@ def test_multiplicity_serialized_as_string():
     assert data["complete"] == "integral"
 
 
-def test_wire_cache_leaves_factor_identity_unchanged():
-    factors = (
-        relative_k(F3, 2, 5).factors
-        + relative_k(F2, 2, 3).factors  # p = 2 odd degree: nu = 0
-        + integral_k_finite_field(9, 1, 0).factors  # free
-        + integral_k_finite_field(9, 1, 3).factors  # cyclic
-        + relative_k(RingSpec("perfectoid", 3, name="R"), 2, 3).factors
-    )
-    assert {gf.kind for gf in factors} == {"witt", "cyclic", "free"}
-    assert any(gf.nu is not None for gf in factors)
-    for gf in factors:
-        fresh = gf._replace()
-        before = (hash(gf), repr(gf), gf._asdict())
-        assert gf.wire is gf.wire
-        assert (hash(gf), repr(gf), gf._asdict()) == before
-        assert gf == fresh and hash(gf) == hash(fresh) and repr(gf) == repr(fresh)
-        assert "wire" not in vars(fresh)
+def _limited_rows(q):
+    """Single-degree rows over F_q, each variant, with and without a limit."""
+    ring = RingSpec.from_q(q)
+    for d in (1, 2, 3):
+        for degree in range(0, 61, 3):
+            for limit in (None, 0, degree // 3, degree):
+                yield relative_k(ring, d, degree, limit)
+                yield axes_relative_k(ring, d, degree, limit)
+                yield integral_k_finite_field(q, d, degree, m_prime_limit=limit)
+
+
+def test_assembled_entries_equal_the_factor_fallback():
+    # the entries a row carries are those group_expr_to_dict builds for an
+    # expression that carries none, factor by factor
+    rows = [row for ring, variant, d, max_degree in TABLE_GRID
+            for row in table(parse_ring_spec(ring), d, max_degree, variant)]
+    rows += [row for q in (2, 3, 4, 9) for row in _limited_rows(q)]
+    kinds = set()
+    for row in rows:
+        assert row._entries is not None, row
+        carried = group_expr_to_dict(row)["factors"]
+        assert carried == [_factor_entry(gf) for gf in row.factors], row
+        assert group_expr_to_dict(row._replace())["factors"] == carried, row
+        kinds.update(gf.kind for gf in row.factors)
+    assert kinds == {"witt", "cyclic", "free"}
+
+
+def test_each_call_returns_a_fresh_dict_and_list():
+    hand_made = GroupExpr(3, 3, "integral", (GroupFactor("cyclic", order=26),))
+    for expr in (relative_k(F3, 2, 5), table(F2, 2, 9)[9], hand_made):
+        first, second = group_expr_to_dict(expr), group_expr_to_dict(expr)
+        assert first == second
+        assert first is not second and first["factors"] is not second["factors"]
+        first["factors"].clear()
+        first["degree"] = -1
+        assert group_expr_to_dict(expr) == second
 
 
 def test_assembled_factors_equal_their_init_twins():
-    # assembly builds each witt factor and its wire entry without GroupFactor()
+    # assembly builds each witt factor without GroupFactor()
     for ring, variant, d, max_degree in TABLE_GRID:
         rows = table(parse_ring_spec(ring), d, max_degree, variant)
         # rows share their factors: check each object once
@@ -456,7 +520,6 @@ def test_assembled_factors_equal_their_init_twins():
             assert gf == twin and hash(gf) == hash(twin), cell
             assert repr(gf) == repr(twin), cell
             assert gf._asdict() == twin._asdict(), cell
-            assert gf.wire == twin.wire, cell
 
 
 def test_integer_past_the_str_limit_is_a_budget_error():
@@ -464,9 +527,10 @@ def test_integer_past_the_str_limit_is_a_budget_error():
     # about 10^(60 s) / s, pass the default limit of 4300 digits
     with pytest.raises(BudgetExceededError, match="decimal digits"):
         relative_k(F2, 10**60, 200)
-    # a factor built by GroupFactor() meets the same limit on its first wire access
+    # a hand-made factor meets the same limit when its expression is serialised
+    hand_made = GroupExpr(1, 2, "integral", (GroupFactor("cyclic", order=10**5000),))
     with pytest.raises(BudgetExceededError, match="cyclic factor"):
-        GroupFactor("cyclic", order=10**5000).wire
+        group_expr_to_dict(hand_made)
 
 
 def test_value_types_keep_their_repr_hash_and_read_only_contract():
@@ -498,15 +562,20 @@ def test_value_types_keep_their_repr_hash_and_read_only_contract():
     for value, text in pinned.items():
         assert repr(value) == text
         assert hash(value) == hash(tuple(value))
+    hand_made = GroupExpr(2, 3, "p-complete", (witt,))
     for gf in (witt, witt_nu, cyclic, free):
-        gf.wire  # the cached entry lives in the instance dict, not in the fields
         with pytest.raises(AttributeError):
             gf.multiplicity = 2
+    for e in (expr, hand_made):
         with pytest.raises(AttributeError):
-            gf.extra = 1
+            e.degree = 3
+    for value in (witt, witt_nu, cyclic, free, expr, hand_made):
         with pytest.raises(AttributeError):
-            del gf.wire
-        assert "extra" not in vars(gf)
+            value.extra = 1
+        assert not hasattr(value, "extra")
+    with pytest.raises(AttributeError):
+        del expr._entries
+    assert expr._entries is not None and hand_made._entries is None
     with pytest.raises(AttributeError):
         F9.p = 5
     # cyclic words sort as (canonical, period)
