@@ -187,17 +187,18 @@ def _ring_axiom_failures(p: int, n: int, f: int, triples: int, rng) -> str | Non
     for _ in range(triples):
         a, b, c = rand_vec(), rand_vec(), rand_vec()
         ab_sum, ab_prod = ring.add(a, b), ring.mul(a, b)
+        bc_sum = ring.add(b, c)
         if (ab_sum, ab_prod) != _poly_witt_ops(ring.field, n, a, b):
             return f"a+b or a*b differs from the Witt polynomials at {a}, {b}"
         if ab_sum != ring.add(b, a):
             return f"a+b != b+a at {a}, {b}"
-        if ring.add(a, ring.add(b, c)) != ring.add(ab_sum, c):
+        if ring.add(a, bc_sum) != ring.add(ab_sum, c):
             return f"add not associative at {a}, {b}, {c}"
         if ab_prod != ring.mul(b, a):
             return f"a*b != b*a at {a}, {b}"
         if ring.mul(a, ring.mul(b, c)) != ring.mul(ab_prod, c):
             return f"mul not associative at {a}, {b}, {c}"
-        if ring.mul(a, ring.add(b, c)) != ring.add(ab_prod, ring.mul(a, c)):
+        if ring.mul(a, bc_sum) != ring.add(ab_prod, ring.mul(a, c)):
             return f"distributivity fails at {a}, {b}, {c}"
         if ring.add(a, ring.zero) != a or ring.mul(a, ring.one) != a:
             return f"identity fails at {a}"

@@ -18,16 +18,38 @@ the walk prunes as it goes: it never extends a prefix that holds two
 adjacent equal letters, so it visits only the Lyndon prefixes of axes
 words rather than filtering every Lyndon word afterwards.
 
-The oracle count_by_enumeration runs its own copy of that walk which
-batches its last two levels: once a prefix of length s - 1 is fixed, the
-letters that close a Lyndon word form one run up to d - 1, and once a
-prefix of length s - 2 is fixed, each step of the next letter closes a
-Lyndon word of length s - 1 whose fill letter is the first one, so every
-such step adds a run of the same length.  The walk counts both in one step
-instead of visiting each word, so it steps mostly through the Lyndon words
-of length at most s - 2, about d^2 times fewer nodes than the word-by-word
-walk.  It still counts leaves of the walk, never the Mobius sums, so it
-stays an independent check of count_aperiodic / count_axes.
+The oracle count_by_enumeration runs its own copy of that walk, which
+stops at half length.  Call a prefix the walk has just stepped, a Lyndon
+word u of length m, fresh; the walk fills it to w of length s by
+w[i] = u[i mod m], and each step at a position t >= m of w (a letter above
+w[t], and for axes not equal to w[t - 1]) makes a fresh prefix of length
+t + 1 below u.  The leaves are the fresh prefixes of length s.
+
+Half-length lemma.  If 2m >= s (and m >= 2 for axes), the subtree below u
+depends only on x = u[:s - m]: it holds cs[s - m] leaves, where cs[0] = 1,
+cs[j] = sum over r < j of wt_r * cs[j - 1 - r], and wt_r is the number of
+steps at position r of x, d - 1 - x[r], for axes less one when the left
+neighbour of x[r] lies above it (x[r - 1], or for r = 0 a letter above
+x[0]).  Proof: as s - m <= m, the fill copies x into positions m..s-1, so
+a step at t >= m compares with x[t - m] and, for axes, with x[t - m - 1]
+or, at t = m, with u's last letter, which lies above u[0] = x[0] as u is a
+Lyndon word of length >= 2.  So the steps at t are the wt_(t-m) of x.
+The fresh prefix made at t has length t + 1 > m, and its own fill copies
+its first s - t - 1 letters, which are x[:s - t - 1] as s - t - 1 < s - m;
+its last letter lies above x[0] again.  By induction on s - m its subtree
+holds cs[s - t - 1] leaves, and summing over t gives cs[s - m].
+
+So the counting walk expands only the fresh prefixes of length at most
+h = s // 2.  For each it adds, at every position t >= h of its fill, the
+steps at t times cs[s - t - 1], as the prefix made there has length
+t + 1 > s / 2.  It keeps cs beside w and recomputes only the entries whose
+letters its last step changed, so it visits about the Lyndon words of
+length at most s / 2, instead of the Lyndon words of length at most s.
+cs[j] is still a count of leaves of the walk: each term is a number of
+steps times the leaves below each of them, with no signs and no division,
+so a wrong step rule changes it as it would the word-by-word walk.  It
+never uses the Mobius sums, and stays an independent check of
+count_aperiodic / count_axes.
 """
 
 from __future__ import annotations
@@ -36,6 +58,7 @@ import os
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
+from operator import mul
 
 from .errors import BudgetExceededError, InternalError
 from .numtheory import divisors, mobius
@@ -49,9 +72,16 @@ def _budget(budget: int | None) -> int:
     if budget is not None:
         return budget
     env = os.environ.get("KAX_BUDGET")
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
+    if env is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+        if value < 1:
+            raise ValueError
+    except ValueError:
+        # a ValueError is a usage error at the command line
+        raise ValueError(f"KAX_BUDGET must be a positive integer, not {env!r}") from None
+    return value
 
 
 class CyclicWord(namedtuple("CyclicWord", "canonical period")):
@@ -234,54 +264,92 @@ def count_by_enumeration(
 
     This is the independent oracle for count_aperiodic / count_axes: it
     counts the leaves of the walk of _lyndon_words and never touches the
-    Mobius formulas.  It batches two levels of that walk.  Where the walk
-    would step the last letter of a word of length s through lo..d-1,
-    yielding each step as a Lyndon word, this loop adds the length of the
-    run at once and pops the letter.  For s >= 3 it then batches the level
-    above: each remaining step of the last letter of the prefix of length
-    s - 1 closes a Lyndon word of length s - 1, which the walk fills with
-    its first letter w[0] and whose run it counts, so the loop adds the
-    runs of all those steps at once and pops that letter too.
+    Mobius formulas.  Half-length lemma (proved in the module docstring):
+    the subtree below a fresh prefix u of length m >= s / 2 holds
+    cs[s - m] leaves, a sum of products of step counts of x = u[:s - m]
+    that groups equal subtrees but still counts each leaf once.  So the
+    walk expands only the fresh prefixes of length m <= h = s // 2, and
+    counts each subtree below a prefix of length > s / 2 from its first
+    letters.  For a walked prefix filled to w, wt[t] is the number of
+    steps at position t of w; at t = 0 it is taken against a left
+    neighbour above w[0], as after the last letter of a Lyndon word, which
+    makes wt[:j] the weights of x = w[:j].  The prefix made by a step at
+    t >= h has x = w[:s - t - 1], so the walk adds wt[t] * cs[s - t - 1]
+    for every t >= h.
+
+    cs[j] depends on w[:j] only, so a step at position m - 1 leaves
+    cs[:m] as it was; valid counts the entries still in force.  A prefix
+    whose weights past h are all 0 has no counted step, and the walk
+    skips its cs: on one letter, and on two-letter axes, every weight is 0,
+    so the walk does work linear in s and no s^2 sums.
     """
     if s < 1 or d < 1:
         raise ValueError("count_by_enumeration requires s >= 1 and d >= 1")
     _check_budget(s, d, axes, budget)
+    if s == 1:
+        # the leaves are the d one-letter words; for axes each one is its
+        # own cyclic neighbour
+        return 0 if axes else d
+    h = s // 2
+    n = s - h  # cs[:n] holds every count the walk reads
+    top = d - 1
+    wt = [0] * s
+    # cs reversed, rc[n - 1 - j] = cs[j], so that it meets the weights
+    # of the fill in order in a dot product
+    rc = [1] * n
+    valid = 1
     count = 0
     w = [-1]
     while w:
-        if len(w) == s:
-            # a word filled to length s (for s = 1, the start): each letter
-            # after its last one closes a Lyndon word of length s
-            lo = w.pop() + 1
-            if not axes:
-                count += d - lo
-            elif w:
-                # drop the letter equal to the left neighbour; across the
-                # wrap every letter of the run already differs from the
-                # first, as a Lyndon word of length >= 2 ends in a letter
-                # greater than its first.  A one-letter word is its own
-                # neighbour, so s = 1 counts none.
-                count += d - lo - (w[-1] >= lo)
-            if s > 2:
-                # each step v > cur of the prefix's last letter fills with
-                # w[0], so its run is w[0] + 1..d - 1.  For axes, the step
-                # v equal to its left neighbour w[-1] is skipped, and each
-                # run drops v itself, which lies in it: v ends a Lyndon
-                # word of length >= 2, so v > w[0].
-                cur = w.pop()
-                if not axes:
-                    count += (d - 1 - cur) * (d - 1 - w[0])
-                else:
-                    count += (d - 1 - cur - (cur < w[-1])) * (d - 2 - w[0])
+        v = w[-1] + 1
+        w[-1] = v
+        m = len(w)
+        if axes and m > 1 and v == w[-2]:
+            # an adjacent repeat: neither counted nor extended
+            pass
+        elif m < h or axes and m == 1:
+            wt[m - 1] = top - v - (axes and (m == 1 or w[-2] > v))
+            del wt[m:]
+            if axes and m == 1:
+                # the fill stops at the repeat w[0] w[0], so only
+                # position 1 takes steps
+                wt.append(top - v)
+                wt += [0] * (s - 2)
+                if h > 1:
+                    w.append(v)
+            else:
+                # the fill repeats the prefix, and so do its weights: at
+                # t = m the left neighbour is the prefix's last letter,
+                # which lies above w[0]
+                wt *= s // m + 1
+                del wt[s:]
+                w *= h // m + 1
+                del w[h:]
+            if valid > m:
+                valid = m
+            tail = wt[h:]
+            if any(tail):
+                for j in range(valid, n):
+                    rc[n - 1 - j] = sum(map(mul, wt[:j], rc[n - j:]))
+                valid = n
+                count += sum(map(mul, tail, rc))
         else:
-            # one step of _lyndon_words below length s
-            w[-1] += 1
-            m = len(w)
-            if not (axes and m > 1 and w[-1] == w[-2]):
-                fill = min(s, 2) if axes and m == 1 else s
-                while len(w) < fill:
-                    w.append(w[-m])
-        while w and w[-1] == d - 1:
+            # m = h: every step lies at some t >= h, with the weight
+            # wt[t - h], so the dot product reads wt[:n] (wt[h] = wt[0] for
+            # odd s); the rest of wt stays stale until a shorter prefix
+            # refills it
+            wt[m - 1] = top - v - (axes and w[-2] > v)
+            if n > h:
+                # for odd s, cs[h] reads the letter just stepped
+                wt[h] = wt[0]
+                if valid > h:
+                    valid = h
+            if valid < n:
+                for j in range(valid, n):
+                    rc[n - 1 - j] = sum(map(mul, wt[:j], rc[n - j:]))
+                valid = n
+            count += sum(map(mul, wt, rc))
+        while w and w[-1] == top:
             w.pop()
     return count
 

@@ -281,6 +281,15 @@ def test_budget_exceeded_has_its_own_exit_code(capsys, monkeypatch):
     assert captured.err.startswith("error: budget exceeded: enumeration of 4^12 words")
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_budget_env_that_is_not_a_positive_integer_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("KAX_BUDGET", value)
+    assert main(["count-words", "--s", "3", "--d", "2", "--list"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: KAX_BUDGET must be a positive integer, not {value!r}\n"
+
+
 @pytest.mark.parametrize("s, d", [(12, 4), (13, 4), (15, 3), (30, 2)])
 def test_axes_list_budget_charges_the_pruned_walk(capsys, monkeypatch, s, d):
     # d^s words are past the budget, but the axes walk extends only the
@@ -554,6 +563,17 @@ def test_verify_json(capsys):
     assert main(["verify", "dual", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert all(e["status"] == "pass" for e in report)
+
+
+def test_verify_counts_json_bytes_are_pinned(capsys):
+    # sha256 of the whole stdout of `kax verify counts --format json`, as the
+    # word-by-word counting walk gave it: no rewrite of that walk may change
+    # one byte
+    assert main(["verify", "counts", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "fa873c3ee3261c9595940b6dd9c8754236290bc30c1415424fa921ab27a24ebd")
 
 
 def test_repeated_invocations_byte_identical():

@@ -1,8 +1,12 @@
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kax import words
 from kax.errors import BudgetExceededError
+from kax.oracles import check_counts
 from kax.words import (
     CyclicWord,
     _lyndon_words,
@@ -159,13 +163,34 @@ def test_counts_match_enumeration_small_grid():
 
 
 def test_counting_walk_matches_lyndon_walk_on_every_small_cell():
-    # the counting walk batches the last level from s = 1 and the level
-    # above it from s = 3; d = 1 and d = 2 leave both batches short runs
-    cells = [(s, d) for d in range(1, 7) for s in range(1, 11 if d <= 3 else 9)]
+    # the counting walk expands prefixes up to length s // 2 and counts the
+    # subtrees below; at every even s it meets 2m = s, where each expanded
+    # prefix of length s / 2 has only counted steps, and d = 1 and d = 2
+    # leave most weights 0
+    s_max = {1: 12, 2: 12, 3: 12, 4: 10}
+    cells = [(s, d) for d in range(1, 7) for s in range(1, s_max.get(d, 8) + 1)]
     for s, d in cells:
         for axes in (False, True):
             expected = sum(1 for _ in _lyndon_words(s, d, axes))
             assert count_by_enumeration(s, d, axes) == expected, (s, d, axes)
+
+
+def test_counting_walk_uses_no_formula(monkeypatch):
+    # the default grid of `kax verify counts`, counted with the Mobius
+    # formulas and the number theory under them made to raise
+    defaults = inspect.signature(check_counts).parameters
+    s_max, d_max = defaults["s_max"].default, defaults["d_max"].default
+    grid = [(s, d, axes) for d in range(1, d_max + 1) for s in range(1, s_max + 1)
+            for axes in (False, True)]
+    expected = [(count_axes if axes else count_aperiodic)(s, d) for s, d, axes in grid]
+
+    def forbidden(*args):
+        raise AssertionError("the counting walk used a formula")
+
+    for name in ("count_aperiodic", "count_axes", "mobius", "divisors"):
+        monkeypatch.setattr(words, name, forbidden)
+    assert [count_by_enumeration(s, d, axes, budget=10**8)
+            for s, d, axes in grid] == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,6 +210,26 @@ def test_long_words_on_one_letter():
     assert enumerate_aperiodic(5000, 1) == enumerate_axes(5000, 1) == []
 
 
+@pytest.mark.parametrize("d, axes", [(1, False), (1, True), (2, True)])
+def test_long_words_count_in_linear_work(monkeypatch, d, axes):
+    # no word of length 10^5 on one letter, or on two letters without an
+    # adjacent repeat, is aperiodic; every weight the counting walk reads
+    # past s // 2 is 0 there, so it must not fill its table of subtree
+    # counts, which would take about s^2 / 8 products
+    s = 10**5
+    products = 0
+
+    def counted_mul(a, b):
+        nonlocal products
+        products += 1
+        if products > s:
+            raise AssertionError(f"more than {s} products for s = {s}")
+        return a * b
+
+    monkeypatch.setattr(words, "mul", counted_mul)
+    assert count_by_enumeration(s, d, axes) == 0
+
+
 def test_budget_enforced():
     with pytest.raises(BudgetExceededError):
         enumerate_aperiodic(30, 3, budget=10**4)
@@ -198,6 +243,13 @@ def test_budget_env_override(monkeypatch):
         enumerate_aperiodic(2, 2)
     monkeypatch.setenv("KAX_BUDGET", "100")
     assert len(enumerate_aperiodic(2, 2)) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "", "2.5"])
+def test_budget_env_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("KAX_BUDGET", value)
+    with pytest.raises(ValueError, match="KAX_BUDGET must be a positive integer"):
+        enumerate_aperiodic(2, 2)
 
 
 def test_render_parse_roundtrip():
