@@ -160,12 +160,19 @@ def _folded_witt_polys(p: int, n: int, f: int):
     return folded, max_exp
 
 
+@lru_cache(maxsize=None)
+def _power_table(field: GaloisField, max_exp: int) -> list[list[int]]:
+    """pows[v][e] = v^e in F_q for e <= max_exp, by repeated field.mul."""
+    return [list(accumulate(repeat(v, max_exp), field.mul, initial=1))
+            for v in field.elements()]
+
+
 def _poly_witt_ops(field: GaloisField, n: int, a, b) -> tuple[tuple[int, ...], ...]:
     """(a + b, a * b) in W_n(F_q) by the structure polynomials."""
     folded, max_exp = _folded_witt_polys(field.p, n, field.f)
     mul, add = field.mul, field.add
-    # the powers 0..max_exp of each variable, built once for both ops
-    pows = [list(accumulate(repeat(v, max_exp), mul, initial=1)) for v in a + b]
+    table = _power_table(field, max_exp)
+    pows = [table[v] for v in a + b]
     out = []
     for poly in folded:
         acc = 0

@@ -225,10 +225,33 @@ def _lyndon_words(s: int, d: int, axes: bool = False) -> Iterator[Word]:
             w.pop()
 
 
-def _check_budget(s: int, d: int, axes: bool, budget: int | None) -> None:
+def _walk_prefixes(h: int, d: int, axes: bool, budget: int) -> int:
+    # the prefixes of 1..h letters, for axes those without an adjacent
+    # repeat, d (d - 1)^(m - 1) of length m; summed only until past the
+    # budget, so a ratio >= 2 stops within bitlen(budget) + 1 terms
+    ratio = d - 1 if axes else d
+    if ratio <= 1:
+        return d * (h if ratio else min(h, 1))
+    total, term = 0, d
+    for _ in range(h):
+        total += term
+        if total > budget:
+            break
+        term *= ratio
+    return total
+
+
+def _check_budget(s: int, d: int, axes: bool, budget: int | None,
+                  counting: bool = False) -> None:
     budget = _budget(budget)
-    # the axes walk extends only prefixes without an adjacent repeat
-    if (d * (d - 1) ** (s - 1) if axes else d**s) > budget:
+    # the counting walk steps only through prefixes of at most s // 2 letters
+    h = s // 2
+    if counting and _walk_prefixes(h, d, axes, budget) > budget:
+        terms = f"{d}*{d - 1}^0 + ... + {d}*{d - 1}^{h - 1}" if axes else f"{d}^1 + ... + {d}^{h}"
+        raise BudgetExceededError(f"counting walk over {terms} prefixes exceeds budget {budget}")
+    # listing the words: the axes walk extends only prefixes without an
+    # adjacent repeat
+    if not counting and (d * (d - 1) ** (s - 1) if axes else d**s) > budget:
         words = f"{d}*{d - 1}^{s - 1}" if axes else f"{d}^{s}"
         raise BudgetExceededError(f"enumeration of {words} words exceeds budget {budget}")
     if s > budget:
@@ -285,7 +308,7 @@ def count_by_enumeration(
     """
     if s < 1 or d < 1:
         raise ValueError("count_by_enumeration requires s >= 1 and d >= 1")
-    _check_budget(s, d, axes, budget)
+    _check_budget(s, d, axes, budget, counting=True)
     if s == 1:
         # the leaves are the d one-letter words; for axes each one is its
         # own cyclic neighbour

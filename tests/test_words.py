@@ -9,6 +9,7 @@ from kax.errors import BudgetExceededError
 from kax.oracles import check_counts
 from kax.words import (
     CyclicWord,
+    DEFAULT_BUDGET,
     _lyndon_words,
     brute_force_orbits,
     canonicalize,
@@ -235,6 +236,23 @@ def test_budget_enforced():
         enumerate_aperiodic(30, 3, budget=10**4)
     with pytest.raises(BudgetExceededError):
         count_by_enumeration(30, 3, budget=10**4)
+
+
+def test_counting_walk_is_charged_for_its_half_length_prefixes():
+    # 3^15 words are past the default budget, but the walk steps through at
+    # most 3^1 + ... + 3^7 = 3,279 prefixes
+    assert 3**15 > DEFAULT_BUDGET
+    assert count_by_enumeration(15, 3) == count_aperiodic(15, 3)
+    assert count_by_enumeration(15, 3, axes=True) == count_axes(15, 3)
+    with pytest.raises(BudgetExceededError,
+                       match=r"^counting walk over 3\^1 \+ \.\.\. \+ 3\^15 prefixes exceeds budget 10000$"):
+        count_by_enumeration(30, 3, budget=10**4)
+    with pytest.raises(BudgetExceededError,
+                       match=r"^counting walk over 4\*3\^0 \+ \.\.\. \+ 4\*3\^14 prefixes exceeds budget 10000$"):
+        count_by_enumeration(30, 4, axes=True, budget=10**4)
+    # the listing still pays for every word
+    with pytest.raises(BudgetExceededError, match=r"^enumeration of 3\^15 words exceeds budget"):
+        enumerate_aperiodic(15, 3)
 
 
 def test_budget_env_override(monkeypatch):
