@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from operator import getitem
+from operator import getitem, lshift
 
 from .errors import BudgetExceededError, InternalError
 from .fields import galois_field
@@ -244,16 +244,17 @@ class WittRing:
         # narrow ones a residue mod p^n during readback
         B = (f * f * p ** (5 * n)).bit_length()
         W = pn.bit_length() + 1
-        wide = lambda cs: sum(c << (B * k) for k, c in enumerate(cs))
-        narrow = lambda cs: sum(c << (W * k) for k, c in enumerate(cs))
+        wide = lambda cs: sum(map(lshift, cs, range(0, B * f, B)))
+        narrow = lambda cs: sum(map(lshift, cs, range(0, W * f, W)))
         # level i lifts a as tau(a^(p^-i)) and reads its digit back as c^(p^i)
         frob = [[F.pow(a, p**k) for a in F.elements()] for k in range(f)]
         lift = [wide(t) for t in tau]
         # dicts, so that a coordinate outside 0..q-1 fails its lookup
-        twists = [dict(zip(F.elements(), (lift[b] for b in frob[-k % f]))) for k in range(f)]
+        twists = [dict(enumerate(map(lift.__getitem__, frob[-k % f]))) for k in range(f)]
         self._lifts_down = [twists[i % f] for i in reversed(range(n))]
         self._digits = [frob[i % f] for i in range(n)]
-        self._steps = [narrow([pn - c for c in t]) for t in tau]
+        top = narrow([pn] * f)
+        self._steps = [top - narrow(t) for t in tau]
         self._neg_base = wide([p ** (2 * n)] * f)
         # x^(f+j) mod m for j < f - 1, folded into the low slots of a product
         fold, self._folds = [-c % pn for c in modulus], []
@@ -264,9 +265,10 @@ class WittRing:
         self._low = (1 << (B * f)) - 1
         self._repack = [(B * k, W * k) for k in range(f)]
         # the residue code: for p = 2 the parity bits of the narrow slots
-        # name it, for odd p it is read slot by slot from the top
-        self._parity_bits = narrow([1] * f)
-        self._parities = {narrow(F.to_coords(c)): c for c in F.elements()}
+        # name it (those of a step, as tau(c) = c mod 2 and p^n is even),
+        # for odd p it is read slot by slot from the top
+        self._parity_bits = bits = narrow([1] * f)
+        self._parities = {step & bits: c for c, step in enumerate(self._steps)}
         self._narrow_slot = (1 << W) - 1
         self._narrow_shifts = [W * k for k in reversed(range(f))]
 
@@ -286,7 +288,8 @@ class WittRing:
         # the Teichmueller digits of a packed element with nonnegative slots
         p, pn, steps, out = self.p, self._pn, self._steps, []
         if not self._folds:
-            # f = 1: one slot, and each digit is its own residue
+            # f = 1: one slot, and as the Frobenius of F_p is the identity
+            # each digit is its own residue
             x %= pn
             for _ in range(self.n):
                 c = x % p

@@ -244,14 +244,16 @@ def _walk_prefixes(h: int, d: int, axes: bool, budget: int) -> int:
 def _check_budget(s: int, d: int, axes: bool, budget: int | None,
                   counting: bool = False) -> None:
     budget = _budget(budget)
-    # the counting walk steps only through prefixes of at most s // 2 letters
-    h = s // 2
-    if counting and _walk_prefixes(h, d, axes, budget) > budget:
-        terms = f"{d}*{d - 1}^0 + ... + {d}*{d - 1}^{h - 1}" if axes else f"{d}^1 + ... + {d}^{h}"
-        raise BudgetExceededError(f"counting walk over {terms} prefixes exceeds budget {budget}")
-    # listing the words: the axes walk extends only prefixes without an
-    # adjacent repeat
-    if not counting and (d * (d - 1) ** (s - 1) if axes else d**s) > budget:
+    if counting:
+        # the counting walk steps only through prefixes of at most s // 2
+        # letters
+        h = s // 2
+        if _walk_prefixes(h, d, axes, budget) > budget:
+            terms = f"{d}*{d - 1}^0 + ... + {d}*{d - 1}^{h - 1}" if axes else f"{d}^1 + ... + {d}^{h}"
+            raise BudgetExceededError(f"counting walk over {terms} prefixes exceeds budget {budget}")
+    elif (d * (d - 1) ** (s - 1) if axes else d**s) > budget:
+        # listing the words: the axes walk extends only prefixes without an
+        # adjacent repeat
         words = f"{d}*{d - 1}^{s - 1}" if axes else f"{d}^{s}"
         raise BudgetExceededError(f"enumeration of {words} words exceeds budget {budget}")
     if s > budget:
@@ -305,6 +307,10 @@ def count_by_enumeration(
     whose weights past h are all 0 has no counted step, and the walk
     skips its cs: on one letter, and on two-letter axes, every weight is 0,
     so the walk does work linear in s and no s^2 sums.
+
+    The budget is charged for the prefixes of at most h letters the walk
+    can step through, d + d^2 + ... + d^h (for axes, those without an
+    adjacent repeat), not for the d^s words enumerate_* list.
     """
     if s < 1 or d < 1:
         raise ValueError("count_by_enumeration requires s >= 1 and d >= 1")
