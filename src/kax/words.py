@@ -249,8 +249,10 @@ def _check_budget(s: int, d: int, axes: bool, budget: int | None,
         # letters
         h = s // 2
         if _walk_prefixes(h, d, axes, budget) > budget:
-            terms = f"{d}*{d - 1}^0 + ... + {d}*{d - 1}^{h - 1}" if axes else f"{d}^1 + ... + {d}^{h}"
-            raise BudgetExceededError(f"counting walk over {terms} prefixes exceeds budget {budget}")
+            terms = (f"{d}*{d - 1}^0 + ... + {d}*{d - 1}^{h - 1}" if axes
+                     else f"{d}^1 + ... + {d}^{h}")
+            raise BudgetExceededError(
+                f"counting walk over {terms} prefixes exceeds budget {budget}")
     elif (d * (d - 1) ** (s - 1) if axes else d**s) > budget:
         # listing the words: the axes walk extends only prefixes without an
         # adjacent repeat

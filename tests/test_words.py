@@ -244,12 +244,13 @@ def test_counting_walk_is_charged_for_its_half_length_prefixes():
     assert 3**15 > DEFAULT_BUDGET
     assert count_by_enumeration(15, 3) == count_aperiodic(15, 3)
     assert count_by_enumeration(15, 3, axes=True) == count_axes(15, 3)
-    with pytest.raises(BudgetExceededError,
-                       match=r"^counting walk over 3\^1 \+ \.\.\. \+ 3\^15 prefixes exceeds budget 10000$"):
+    with pytest.raises(BudgetExceededError) as exc:
         count_by_enumeration(30, 3, budget=10**4)
-    with pytest.raises(BudgetExceededError,
-                       match=r"^counting walk over 4\*3\^0 \+ \.\.\. \+ 4\*3\^14 prefixes exceeds budget 10000$"):
+    assert str(exc.value) == "counting walk over 3^1 + ... + 3^15 prefixes exceeds budget 10000"
+    with pytest.raises(BudgetExceededError) as exc:
         count_by_enumeration(30, 4, axes=True, budget=10**4)
+    assert str(exc.value) == (
+        "counting walk over 4*3^0 + ... + 4*3^14 prefixes exceeds budget 10000")
     # the listing still pays for every word
     with pytest.raises(BudgetExceededError, match=r"^enumeration of 3\^15 words exceeds budget"):
         enumerate_aperiodic(15, 3)
