@@ -223,6 +223,8 @@ class WittRing:
         self._low = (1 << (B * f)) - 1
         self._repack = repack = [(B * k, W * k) for k in range(f)]
         wide = lambda cs: sum(map(lshift, cs, range(0, B * f, B)))
+        # each wide slot reduced mod p^n, the layout kept
+        mod_pn = lambda x: sum((x >> s & self._slot) % pn << s for s, _ in repack)
         # x^(f+j) mod m for j < f - 1, folded into the low slots of a
         # product: x^f = -(m_0 + ... + m_(f-1) x^(f-1)), and each next one is
         # x times the last, whose one high slot folds by x^f
@@ -230,13 +232,13 @@ class WittRing:
         fold = wide([-c % pn for c in F.modulus[:f]])
         for _ in range(f - 1):
             self._folds.append(fold)
-            fold = self._reduce(self._fold(fold << B))
+            fold = mod_pn(self._fold(fold << B))
         # tau(g^k) = tau(g)^k for a primitive g, and tau(g) = h^(p^(n-1))
         # for h = g^(p^-(n-1)) read over the integers: h = tau(h) (1 + p u),
         # (1 + p u)^(p^(n-1)) = 1 mod p^n and tau(h)^(p^(n-1)) = tau(g).
         # Products of elements with slots below p^n fold to slots below
         # f^2 p^(3n) < 2^B, which mulmod then reduces mod p^n.
-        mulmod = lambda x, y: self._reduce(self._fold(x * y))
+        mulmod = lambda x, y: mod_pn(self._fold(x * y))
         h = F.pow(F.primitive, p ** (-(n - 1) % f))
         base, tau_g, e = wide(F.to_coords(h)), 1, p ** (n - 1)
         while e:
@@ -277,11 +279,6 @@ class WittRing:
                 x += (hi & mask) * fold
                 hi >>= B
         return x
-
-    def _reduce(self, x: int) -> int:
-        # set-up only: each wide slot reduced mod p^n, the layout kept
-        pn, mask = self._pn, self._slot
-        return sum((x >> s & mask) % pn << s for s, _ in self._repack)
 
     def _image(self, a: tuple[int, ...]) -> int:
         if len(a) != self.n:
