@@ -6,7 +6,7 @@ encoded as sum c_i * p^i.  The modulus is the lexicographically least
 monic irreducible of degree f (ordered by that same integer encoding of
 the non-leading coefficients), so encodings are reproducible.
 
-Fields in this package are tiny (q <= a few hundred), so addition,
+Fields in this package are tiny (q <= _TABLE_LIMIT = 512), so addition,
 negation and multiplication are precomputed as tables; the product table
 is filled from log/antilog tables over a primitive element.
 """

@@ -353,8 +353,8 @@ def iso_with_zpn(p: int, n: int, budget: int = 3**5) -> dict[int, tuple[int, ...
     """Oracle: k -> k*(1,0,...,0) is a ring isomorphism Z/p^n -> W_n(F_p).
 
     Returns the bijection table; raises InternalError if the map fails to
-    be bijective or multiplicative, which would mean the structure
-    polynomials are wrong.
+    be bijective or multiplicative, which would mean WittRing's add or
+    mul is wrong.
     """
     require_prime(p)
     pn = p**n

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from operator import mul
 
@@ -91,10 +91,6 @@ class CyclicWord(namedtuple("CyclicWord", "canonical period")):
     """
 
     __slots__ = ()
-
-    @property
-    def length(self) -> int:
-        return len(self.canonical)
 
     def __str__(self) -> str:
         # the orbit does not know its alphabet, so render on the smallest
@@ -135,25 +131,8 @@ def period(w: Word) -> int:
 
 
 def least_rotation(w: Word) -> Word:
-    """Lexicographically least rotation, Booth's algorithm, O(len(w))."""
-    m = len(w)
-    ww = w + w
-    f = [-1] * (2 * m)
-    k = 0
-    for j in range(1, 2 * m):
-        sj = ww[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != ww[k + i + 1]:
-            if sj < ww[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != ww[k + i + 1]:
-            if sj < ww[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return ww[k:k + m]
+    """Lexicographically least rotation, the least of all len(w) rotations."""
+    return min((w[i:] + w[:i] for i in range(len(w))), default=w)
 
 
 def canonicalize(w: Word) -> CyclicWord:
@@ -163,37 +142,37 @@ def canonicalize(w: Word) -> CyclicWord:
     return CyclicWord(least_rotation(w), period(w))
 
 
+def _mobius_count(name: str, s: int, d: int, words: Callable[[int], int]) -> int:
+    # (sum over u | s of mu(s/u) words(u)) / s, where words(u) counts the
+    # words of length u fixed by rotation by u; the sum is always divisible
+    # by s, which is asserted
+    if s < 1 or d < 1:
+        raise ValueError(f"{name} requires s >= 1 and d >= 1")
+    total = sum(mobius(s // u) * words(u) for u in divisors(s))
+    if total % s != 0:
+        raise InternalError(f"Mobius sum {total} not divisible by s={s}")
+    return total // s
+
+
 # both counts are pure in (s, d), and every run and table asks for them again
 @lru_cache(maxsize=4096)
 def count_aperiodic(s: int, d: int) -> int:
     """Number of cyclic words of length s on d letters with period exactly s.
 
-    Computed as (sum over u | s of mu(s/u) d^u) / s; the sum is always
-    divisible by s, which is asserted.
+    Computed as (sum over u | s of mu(s/u) d^u) / s.
     """
-    if s < 1 or d < 1:
-        raise ValueError("count_aperiodic requires s >= 1 and d >= 1")
-    total = sum(mobius(s // u) * d**u for u in divisors(s))
-    if total % s != 0:
-        raise InternalError(f"Mobius sum {total} not divisible by s={s}")
-    return total // s
-
-
-def _cycle_colorings(u: int, d: int) -> int:
-    # proper colorings of a u-cycle with d colors (adjacent vertices differ);
-    # for u = 1 the single vertex is adjacent to itself, so 0
-    return (d - 1) ** u + (-1) ** u * (d - 1)
+    return _mobius_count("count_aperiodic", s, d, lambda u: d**u)
 
 
 @lru_cache(maxsize=4096)
 def count_axes(s: int, d: int) -> int:
-    """Period-exactly-s cyclic words with no two cyclically adjacent equal letters."""
-    if s < 1 or d < 1:
-        raise ValueError("count_axes requires s >= 1 and d >= 1")
-    total = sum(mobius(s // u) * _cycle_colorings(u, d) for u in divisors(s))
-    if total % s != 0:
-        raise InternalError(f"Mobius sum {total} not divisible by s={s}")
-    return total // s
+    """Period-exactly-s cyclic words with no two cyclically adjacent equal letters.
+
+    As count_aperiodic, over the proper colorings of a u-cycle with d
+    colors, (d - 1)^u + (-1)^u (d - 1); for u = 1 the single vertex is
+    adjacent to itself, so 0.
+    """
+    return _mobius_count("count_axes", s, d, lambda u: (d - 1) ** u + (-1) ** u * (d - 1))
 
 
 def _lyndon_words(s: int, d: int, axes: bool = False) -> Iterator[Word]:
@@ -225,18 +204,20 @@ def _lyndon_words(s: int, d: int, axes: bool = False) -> Iterator[Word]:
             w.pop()
 
 
-def _walk_prefixes(h: int, d: int, axes: bool, budget: int) -> int:
-    # the prefixes of 1..h letters, for axes those without an adjacent
+def _walk_prefixes(lo: int, hi: int, d: int, axes: bool, budget: int) -> int:
+    # the prefixes of lo..hi letters, for axes those without an adjacent
     # repeat, d (d - 1)^(m - 1) of length m; summed only until past the
     # budget, so a ratio >= 2 stops within bitlen(budget) + 1 terms
     ratio = d - 1 if axes else d
     if ratio <= 1:
-        return d * (h if ratio else min(h, 1))
+        return d * (hi - lo + 1 if ratio else lo <= 1 <= hi)
     total, term = 0, d
-    for _ in range(h):
-        total += term
-        if total > budget:
-            break
+    for m in range(1, hi + 1):
+        if m >= lo:
+            total += term
+        if total > budget or term > budget:
+            # every term from lo on is at least this one
+            return max(total, term)
         term *= ratio
     return total
 
@@ -248,12 +229,12 @@ def _check_budget(s: int, d: int, axes: bool, budget: int | None,
         # the counting walk steps only through prefixes of at most s // 2
         # letters
         h = s // 2
-        if _walk_prefixes(h, d, axes, budget) > budget:
+        if _walk_prefixes(1, h, d, axes, budget) > budget:
             terms = (f"{d}*{d - 1}^0 + ... + {d}*{d - 1}^{h - 1}" if axes
                      else f"{d}^1 + ... + {d}^{h}")
             raise BudgetExceededError(
                 f"counting walk over {terms} prefixes exceeds budget {budget}")
-    elif (d * (d - 1) ** (s - 1) if axes else d**s) > budget:
+    elif _walk_prefixes(s, s, d, axes, budget) > budget:
         # listing the words: the axes walk extends only prefixes without an
         # adjacent repeat
         words = f"{d}*{d - 1}^{s - 1}" if axes else f"{d}^{s}"
@@ -304,11 +285,15 @@ def count_by_enumeration(
     t >= h has x = w[:s - t - 1], so the walk adds wt[t] * cs[s - t - 1]
     for every t >= h.
 
-    cs[j] depends on w[:j] only, so a step at position m - 1 leaves
-    cs[:m] as it was; valid counts the entries still in force.  A prefix
-    whose weights past h are all 0 has no counted step, and the walk
-    skips its cs: on one letter, and on two-letter axes, every weight is 0,
-    so the walk does work linear in s and no s^2 sums.
+    Every step that is not an adjacent repeat, whatever its length
+    m <= h, takes one rule: set wt[m - 1] for the letter just stepped,
+    refill wt[m:] by the period m of the fill, bring cs up to date, and
+    add the dot product of wt[h:] with cs.  cs[j] depends on w[:j] only,
+    so a step at position m - 1 leaves cs[:m] as it was; valid counts
+    the entries still in force.  A prefix whose weights past h are all 0
+    has no counted step, and the walk skips its cs: on one letter, and on
+    two-letter axes, every weight is 0, so the walk does work linear in s
+    and no s^2 sums.
 
     The budget is charged for the prefixes of at most h letters the walk
     can step through, d + d^2 + ... + d^h (for axes, those without an
@@ -335,10 +320,8 @@ def count_by_enumeration(
         v = w[-1] + 1
         w[-1] = v
         m = len(w)
-        if axes and m > 1 and v == w[-2]:
-            # an adjacent repeat: neither counted nor extended
-            pass
-        elif m < h or axes and m == 1:
+        # an adjacent repeat is neither counted nor extended
+        if not (axes and m > 1 and v == w[-2]):
             wt[m - 1] = top - v - (axes and (m == 1 or w[-2] > v))
             del wt[m:]
             if axes and m == 1:
@@ -364,22 +347,6 @@ def count_by_enumeration(
                     rc[n - 1 - j] = sum(map(mul, wt[:j], rc[n - j:]))
                 valid = n
                 count += sum(map(mul, tail, rc))
-        else:
-            # m = h: every step lies at some t >= h, with the weight
-            # wt[t - h], so the dot product reads wt[:n] (wt[h] = wt[0] for
-            # odd s); the rest of wt stays stale until a shorter prefix
-            # refills it
-            wt[m - 1] = top - v - (axes and w[-2] > v)
-            if n > h:
-                # for odd s, cs[h] reads the letter just stepped
-                wt[h] = wt[0]
-                if valid > h:
-                    valid = h
-            if valid < n:
-                for j in range(valid, n):
-                    rc[n - 1 - j] = sum(map(mul, wt[:j], rc[n - j:]))
-                valid = n
-            count += sum(map(mul, wt, rc))
         while w and w[-1] == top:
             w.pop()
     return count

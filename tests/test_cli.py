@@ -576,6 +576,32 @@ def test_verify_counts_json_bytes_are_pinned(capsys):
         "fa873c3ee3261c9595940b6dd9c8754236290bc30c1415424fa921ab27a24ebd")
 
 
+# sha256 of the whole stdout of `kax verify all`: no rewrite of an oracle
+# may change one byte
+VERIFY_ALL = {
+    "text": "5beabef90408386f061da5bd660918653806ba1ecfce2bb22629628752aeb6aa",
+    "json": "ebe125258e7b2a9ca014381069df9f112cce18f701f930d24669c5ecb5d6463f",
+}
+
+
+@pytest.mark.parametrize("fmt", VERIFY_ALL)
+def test_verify_all_bytes_are_pinned(capsys, fmt):
+    assert main(["verify", "all", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == VERIFY_ALL[fmt]
+
+
+def test_verify_expands_all_wherever_it_appears(capsys):
+    assert main(["verify", "counts", "all"]) == 0
+    assert capsys.readouterr().out.endswith("\n258 checks, 0 failures\n")
+    assert main(["verify", "nosuch"]) == 2
+    assert main(["verify", "all", "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: unknown suite 'nosuch'") == 2
+
+
 def test_repeated_invocations_byte_identical():
     args = ("compute", "--p", "3", "--d", "3", "--ring", "Fq:9",
             "--degree", "5", "--format", "json")

@@ -1,4 +1,5 @@
 import inspect
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,16 @@ def test_counting_walk_matches_lyndon_walk_on_every_small_cell():
             assert count_by_enumeration(s, d, axes) == expected, (s, d, axes)
 
 
+def test_counting_walk_matches_the_formulas_on_a_wide_grid():
+    # every s, odd and even, up to the largest length per alphabet that
+    # keeps this test near a second
+    s_max = {1: 64, 2: 33, 3: 22, 4: 18, 5: 16, 6: 14}
+    for d, top in s_max.items():
+        for s in range(1, top + 1):
+            assert count_by_enumeration(s, d) == count_aperiodic(s, d), (s, d)
+            assert count_by_enumeration(s, d, axes=True) == count_axes(s, d), (s, d)
+
+
 def test_counting_walk_uses_no_formula(monkeypatch):
     # the default grid of `kax verify counts`, counted with the Mobius
     # formulas and the number theory under them made to raise
@@ -254,6 +265,19 @@ def test_counting_walk_is_charged_for_its_half_length_prefixes():
     # the listing still pays for every word
     with pytest.raises(BudgetExceededError, match=r"^enumeration of 3\^15 words exceeds budget"):
         enumerate_aperiodic(15, 3)
+
+
+def test_listing_refuses_long_words_without_building_the_word_count():
+    # d^s at s = 10^7 is a big integer whose product alone takes seconds;
+    # the charge stops once its partial products pass the budget
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_aperiodic(10**7, 3)
+    assert str(exc.value) == "enumeration of 3^10000000 words exceeds budget 10000000"
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_axes(10**7, 4)
+    assert str(exc.value) == "enumeration of 4*3^9999999 words exceeds budget 10000000"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_budget_env_override(monkeypatch):
