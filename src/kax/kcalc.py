@@ -21,19 +21,20 @@ m' that have the parity of the degree and, for p odd, are coprime to p.
 A factor depends on the degree only through the window t, and m' has
 window t at degree n exactly when n // p^t < m' <= n // p^(t-1).  So one
 assembly path, _assemble_rows, serves table() and every single-degree
-function: each (parity, t) strip concatenates its (m', t) runs, m'
-ascending, and grows as the degrees rise; row n is at most
-floor(log_p n) + 1 strip slices, taken t descending, which is m'
-ascending, then s ascending: the canonical order.  The rows of one
-table() share their factors, which are read-only named tuples.  Length-0
-Witt factors are pruned throughout.
+function, from one running row per parity: its (m', t) runs, m'
+ascending, which is t descending, then s ascending: the canonical order.
+A window only grows with the degree, so each row of a parity is the last
+one with the runs whose window rose replaced in place and the new m'
+appended, and each row is one copy of it.  The rows of one table() share
+their factors, which are read-only named tuples.  Length-0 Witt factors
+are pruned throughout.
 
-Assembly builds each Witt factor as a plain tuple and, beside it in its
-strip, its JSON wire entry; a row is cut from both at the same offsets
-and carries its entries (after those of its Quillen summands), which
-group_expr_to_dict copies.  Rows that share a factor share its entry, so
-the entries are read-only.  An expression made any other way (by hand,
-by group_expr_from_dict, by _replace) carries none: group_expr_to_dict
+Assembly builds each Witt factor as a plain tuple and, beside it in the
+running row, its JSON wire entry; a row copies both and carries its
+entries (after those of its Quillen summands), which group_expr_to_dict
+copies.  Rows that share a factor share its entry, so the entries are
+read-only.  An expression made any other way (by hand, by
+group_expr_from_dict, by _replace) carries none: group_expr_to_dict
 builds its entries from its factors.  Every entry goes through
 _wire_entry, the one entry format, where an integer too long for the
 interpreter's int-to-str limit is a budget error.
@@ -42,11 +43,12 @@ interpreter's int-to-str limit is a budget error.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 
 from .errors import BudgetExceededError, KaxError, digit_limit_error
 from .numtheory import big_witt_order, divisors, require_prime
+from .tbounds import window
 from .words import count_aperiodic, count_axes
 
 VARIANTS = ("square", "axes", "dual", "integral")
@@ -211,78 +213,74 @@ def _run_shape(p: int, m_prime: int, t: int, odd: bool) -> tuple[tuple[int, int]
 
 
 def _assemble_rows(
-    ring: RingSpec,
-    d: int,
-    degrees: range,
-    counter: Callable[[int, int], int],
+    ring: RingSpec, d: int, degrees: range, counter: Callable[[int, int], int],
     m_prime_limit: int | None = None,
-) -> list[tuple[tuple[GroupFactor, ...], tuple[dict, ...]]]:
-    """Witt factors of each degree, canonically ordered, and their wire entries.
+) -> Iterator[tuple[int, list[GroupFactor], list[dict]]]:
+    """Each degree n with its Witt factors, canonically ordered, and entries.
 
-    Row n joins, t descending, the runs (m', t) with m' of n's parity
-    (coprime to p when p is odd) and n // p^t < m' <= n // p^(t-1), capped
-    at m_prime_limit: these are exactly the m' whose window at n is t, so
-    the row comes out m' ascending.  Each strip, one per parity and t,
-    holds its runs m' ascending, factors and entries side by side, with the
-    offset at which each m' starts; both bounds only grow with n, so over
-    ascending degrees a strip is only ever extended, and a row is one slice
-    of each strip it meets.
+    They are the running row of n's parity: the (m', t) runs of its m', m'
+    ascending, coprime to p if p is odd, up to n and m_prime_limit, t the window
+    of m' at n.  The lists are live: copy them, and leave them as they came.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     p = ring.p
     ring_text = _ring_to_str(ring)
     new = tuple.__new__
-    # per parity, t -> (first m', factors, entries, offsets); the run of
-    # m' = first + 2i starts at offsets[i] in both lists.  A single degree
-    # can meet a t before any lower one, so the strips are keyed by t.
-    strips: tuple[dict, dict] = ({}, {})
-    rows = []
-    top_t, top_power = 1, 1  # the largest t with p^(t-1) <= n, and p^(t-1)
+    last = degrees[-1] if degrees else 0
+    limit = last if m_prime_limit is None else m_prime_limit
+    sizes: dict[int, int] = {}  # m' -> the length of its run in the row
+    # per parity: last degree (-1 before the first), factors, entries, starts
+    # (no window passes last.bit_length()), next m' to append, odd, nu
+    states: list = [None, None]
     for n in degrees:
-        row_factors: list[GroupFactor] = []
-        row_entries: list[dict] = []
-        while top_power * p <= n:
-            top_power *= p
-            top_t += 1
-        parity = n % 2
-        odd = parity == 1
-        nu = 0 if odd and p == 2 else None
-        by_t = strips[parity]
-        cap = n if m_prime_limit is None or m_prime_limit > n else m_prime_limit
-        t, power = top_t, (top_power if n > 0 else 0)  # power is p^(t-1)
-        low = 0  # n // p^t, as p^top_t > n
-        while power:
-            high = n // power
-            hi = high if high < cap else cap
-            lo = low + 1
-            lo += (lo - parity) % 2  # the first m' > n // p^t of n's parity
-            if lo <= hi:
-                strip = by_t.get(t)
-                if strip is None:
-                    strip = by_t[t] = (lo, [], [], [])
-                first, factors, entries, offsets = strip
-                m_prime = first + 2 * len(offsets)
-                while m_prime <= hi:
-                    offsets.append(len(factors))
-                    if p == 2 or m_prime % p:
-                        for s, length in _run_shape(p, m_prime, t, odd):
-                            mult = counter(s, d)
-                            if mult:
-                                factors.append(new(GroupFactor, (
-                                    "witt", mult, length, ring, None, None, m_prime, s, nu)))
-                                entries.append(_wire_entry(
-                                    "witt", mult, length, ring_text, None, None, m_prime, s, nu))
-                    m_prime += 2
-                # the strip ends at hi, so the slice runs to its end
-                start = offsets[(lo - first) // 2]
-                row_factors += factors[start:]
-                row_entries += entries[start:]
-            low = high
-            power //= p
-            t -= 1
-        rows.append((tuple(row_factors), tuple(row_entries)))
-    return rows
+        state = states[n % 2]
+        if state is None:  # a single degree needs one parity only
+            state = states[n % 2] = [-1, [], [], [0] * (last.bit_length() + 1), 2 - n % 2,
+                                     n % 2 == 1, 0 if n % 2 and p == 2 else None]
+        n0, factors, entries, starts, nxt, odd, nu = state
+        cap = n if n < limit else limit
+        # top: the largest t whose n // p^t moved; none after an empty row
+        # (n0 < 0), nor where nu = 0, as the p = 2 odd runs ignore t
+        top, q, q0 = 0, n // p, n0 // p
+        while q > q0 >= 0 and nu is None:
+            top += 1
+            q //= p
+            q0 //= p
+        # t descending: the m' of window t at n0 up to n // p^t move to the end
+        # of a higher window's segment, which is up to date; t = 0 appends
+        before = len(factors)
+        for t in range(top, -1, -1):
+            if t:
+                power = p**t
+                m = n0 // power + 1
+                m += (m - n) % 2
+                stop = min(n // power, n0 * p // power, cap)
+                at = starts[t] + len(factors) - before  # the higher segments grew
+            else:
+                m, stop, at = nxt, cap, len(factors)
+            while m <= stop:
+                if p == 2 or m % p:
+                    up = window(p, n, m)
+                    run, run_entries = [], []
+                    for s, length in _run_shape(p, m, up, odd):
+                        mult = counter(s, d)
+                        if mult:
+                            run.append(new(GroupFactor, (
+                                "witt", mult, length, ring, None, None, m, s, nu)))
+                            run_entries.append(_wire_entry(
+                                "witt", mult, length, ring_text, None, None, m, s, nu))
+                    end = at + sizes[m] if t else at
+                    factors[at:end] = run
+                    entries[at:end] = run_entries
+                    sizes[m] = len(run)
+                    at += len(run)
+                    if up > t + 1:  # the windows between t and up are left empty
+                        starts[t + 1:up] = [at] * (up - t - 1)
+                m += 2
+            starts[t] = at
+        state[0], state[4] = n, m
+        yield n, factors, entries
 
 
 def _rows(
@@ -297,7 +295,8 @@ def _rows(
     counter = count_axes if variant == "axes" else count_aperiodic
     if variant == "dual":
         d = 1
-    if variant == "integral":
+    integral = variant == "integral"
+    if integral:
         ring = RingSpec.from_q(ring.q)
         completeness = "integral"
     elif ring.kind in ("finite_field", "perfect_fp"):
@@ -309,15 +308,16 @@ def _rows(
     p = ring.p
     new = tuple.__new__
     exprs = []
-    for n, (factors, entries) in zip(degrees, _assemble_rows(ring, d, degrees, counter,
-                                                             m_prime_limit)):
-        if variant == "integral":
-            # the free and cyclic Quillen summands sort before every witt factor
-            quillen = _quillen_factors(ring.q, n, quillen_convention)
-            factors = quillen + factors
-            entries = tuple(map(_factor_entry, quillen)) + entries
-        expr = new(GroupExpr, (n, p, completeness, factors))
-        expr.__dict__["_entries"] = entries
+    for n, factors, entries in _assemble_rows(ring, d, degrees, counter, m_prime_limit):
+        # the Quillen summands sort first: they borrow the row's head for its one copy
+        quillen = _quillen_factors(ring.q, n, quillen_convention) if integral else ()
+        if quillen:
+            factors[:0] = quillen
+            entries[:0] = map(_factor_entry, quillen)
+        expr = new(GroupExpr, (n, p, completeness, tuple(factors)))
+        expr.__dict__["_entries"] = tuple(entries)
+        if quillen:
+            del factors[:len(quillen)], entries[:len(quillen)]
         exprs.append(expr)
     return exprs
 
@@ -398,7 +398,7 @@ def table(
     variant: str = "square",
     quillen_convention: str = "standard",
 ) -> list[GroupExpr]:
-    """One GroupExpr per degree 0..max_degree, sliced from shared strips."""
+    """One GroupExpr per degree 0..max_degree, sharing their factors."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     return _rows(ring, d, range(max_degree + 1), variant, quillen_convention)

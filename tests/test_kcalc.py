@@ -9,6 +9,7 @@ from kax.kcalc import (
     GroupExpr,
     GroupFactor,
     RingSpec,
+    _assemble_rows,
     _factor_entry,
     _run_shape,
     axes_relative_k,
@@ -414,6 +415,43 @@ def test_table_json_is_the_same_with_the_run_shapes_cold_and_warm():
         assert _run_shape.cache_info().currsize > 0
         warm = json.dumps([group_expr_to_dict(e) for e in table(spec, d, max_degree, variant)])
         assert warm == cold, (ring, variant, d)
+
+
+# ranges that start above 0, and steps over which a window rises more than once
+ASSEMBLY_RANGES = (
+    range(37, 90), range(5, 60), range(101, 140), range(3, 200, 7), range(0, 90, 30),
+)
+
+
+@pytest.mark.parametrize("ring", ("Fq:2", "Fq:3", "Fq:25"))
+@pytest.mark.parametrize("limit", (None, 0, 7, 50))
+def test_assembled_rows_over_any_range_equal_the_single_degree_rows(ring, limit):
+    spec = parse_ring_spec(ring)
+    for counter, single in ((count_aperiodic, relative_k), (count_axes, axes_relative_k)):
+        for degrees in ASSEMBLY_RANGES:
+            # the yielded lists are live: copy each row before the next step
+            rows = [(n, tuple(factors), tuple(entries))
+                    for n, factors, entries in _assemble_rows(spec, 2, degrees, counter, limit)]
+            assert [n for n, _, _ in rows] == list(degrees)
+            for n, factors, entries in rows:
+                want = single(spec, 2, n, limit)
+                cell = (ring, limit, counter.__name__, degrees, n)
+                assert factors == want.factors and entries == want._entries, cell
+
+
+@pytest.mark.parametrize("ring, variant, d, max_degree",
+                         [cell for cell in TABLE_GRID if cell[3] == 200])
+def test_table_rows_share_equal_factors_and_their_entries(ring, variant, d, max_degree):
+    # each run is built once and shared by every row that holds it, also at
+    # p = 2 and odd degree, where a run does not depend on its window
+    first: dict = {}
+    held = 0
+    for row in table(parse_ring_spec(ring), d, max_degree, variant):
+        for gf, entry in zip(row.factors, row._entries):
+            held += 1
+            kept_gf, kept_entry = first.setdefault(gf, (gf, entry))
+            assert kept_gf is gf and kept_entry is entry, (ring, variant, row.degree, gf)
+    assert held > 2 * len(first)
 
 
 def _sort_key(gf):
