@@ -18,16 +18,17 @@ m' that have the parity of the degree and, for p odd, are coprime to p.
 * p = 2, degree 2r+1, the one special case: s | m', one factor
                      W_1 = R (nu = 0) per (s, word).
 
-A factor depends on the degree only through the window t, and m' has
-window t at degree n exactly when n // p^t < m' <= n // p^(t-1).  So one
-assembly path, _assemble_rows, serves table() and every single-degree
-function, from one running row per parity: its (m', t) runs, m'
-ascending, which is t descending, then s ascending: the canonical order.
-A window only grows with the degree, so each row of a parity is the last
-one with the runs whose window rose replaced in place and the new m'
-appended, and each row is one copy of it.  The rows of one table() share
-their factors, which are read-only named tuples.  Length-0 Witt factors
-are pruned throughout.
+A row is its (m', t) runs, m' ascending, which is t descending, then s
+ascending: the canonical order.  One run builder makes a run's factors
+from its memoised shape, and two row builders share it.  A single degree
+lists its m' and reads each window with tbounds.window: the definition.
+table() steps one running row per parity from the empty row.  A factor
+depends on the degree only through the window t, and m' has window t at
+degree n exactly when n // p^t < m' <= n // p^(t-1); so from n - 2 to n
+only m' = n // p^t moves, from window t to t + 1, for each t whose bound
+moved (m' = n from window 0 to 1), and each row is one copy of the
+running row.  The rows of one table() share their factors, which are
+read-only named tuples.  Length-0 Witt factors are pruned throughout.
 
 Assembly builds each Witt factor as a plain tuple and, beside it in the
 running row, its JSON wire entry; a row copies both and carries its
@@ -47,7 +48,7 @@ from collections.abc import Callable, Iterator
 from functools import lru_cache
 
 from .errors import BudgetExceededError, KaxError, digit_limit_error
-from .numtheory import big_witt_order, divisors, require_prime
+from .numtheory import big_witt_order, divisors, factor_prime_power, require_prime
 from .tbounds import window
 from .words import count_aperiodic, count_axes
 
@@ -98,8 +99,6 @@ class RingSpec(namedtuple("RingSpec", "kind p f name")):
 
     @staticmethod
     def from_q(q: int) -> "RingSpec":
-        from .numtheory import factor_prime_power
-
         p, f = factor_prime_power(q)
         return RingSpec("finite_field", p, f)
 
@@ -212,84 +211,57 @@ def _run_shape(p: int, m_prime: int, t: int, odd: bool) -> tuple[tuple[int, int]
     return tuple(shape)
 
 
-def _assemble_rows(
-    ring: RingSpec, d: int, degrees: range, counter: Callable[[int, int], int],
-    m_prime_limit: int | None = None,
-) -> Iterator[tuple[int, list[GroupFactor], list[dict]]]:
-    """Each degree n with its Witt factors, canonically ordered, and entries.
+def _degree_row(run: Callable, p: int, n: int, m_prime_limit: int | None) -> tuple:
+    """Degree n with its Witt factors and their entries, by the definition: the
+    (m', t) runs of the m' of n's parity, coprime to p if p is odd, up to n and
+    m_prime_limit, m' ascending, t the window at n."""
+    factors, entries = [], []
+    for m in range(2 - n % 2, (n if m_prime_limit is None else min(n, m_prime_limit)) + 1, 2):
+        if p == 2 or m % p:
+            run_factors, run_entries = run(m, window(p, n, m), n % 2 == 1)
+            factors += run_factors
+            entries += run_entries
+    return n, factors, entries
 
-    They are the running row of n's parity: the (m', t) runs of its m', m'
-    ascending, coprime to p if p is odd, up to n and m_prime_limit, t the window
-    of m' at n.  The lists are live: copy them, and leave them as they came.
+
+def _table_rows(run: Callable, p: int, max_degree: int) -> Iterator[tuple]:
+    """Each degree 0..max_degree with the row _degree_row gives it, no limit.
+
+    Each parity steps from the empty row.  From n - 2 to n, the bound n // p^t
+    of window t moves for t = top..0, so m' = n // p^t, first in window t
+    (window 0: past the row), moves up to window t + 1: its run, at starts[t],
+    is replaced.  A p = 2 odd run ignores t, so those rows only grow.  The
+    lists are live: copy them, and leave them as they came.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    p = ring.p
-    ring_text = _ring_to_str(ring)
-    new = tuple.__new__
-    last = degrees[-1] if degrees else 0
-    limit = last if m_prime_limit is None else m_prime_limit
     sizes: dict[int, int] = {}  # m' -> the length of its run in the row
-    # per parity: last degree (-1 before the first), factors, entries, starts
-    # (no window passes last.bit_length()), next m' to append, odd, nu
-    states: list = [None, None]
-    for n in degrees:
-        state = states[n % 2]
-        if state is None:  # a single degree needs one parity only
-            state = states[n % 2] = [-1, [], [], [0] * (last.bit_length() + 1), 2 - n % 2,
-                                     n % 2 == 1, 0 if n % 2 and p == 2 else None]
-        n0, factors, entries, starts, nxt, odd, nu = state
-        cap = n if n < limit else limit
-        # top: the largest t whose n // p^t moved; none after an empty row
-        # (n0 < 0), nor where nu = 0, as the p = 2 odd runs ignore t
-        top, q, q0 = 0, n // p, n0 // p
-        while q > q0 >= 0 and nu is None:
-            top += 1
-            q //= p
-            q0 //= p
-        # t descending: the m' of window t at n0 up to n // p^t move to the end
-        # of a higher window's segment, which is up to date; t = 0 appends
-        before = len(factors)
+    # per parity: factors, entries, starts[t] = the index of the first m' > n // p^t
+    rows = [([], [], [0] * (max_degree.bit_length() + 1)) for _ in range(2)]
+    for n in range(max_degree + 1):
+        factors, entries, starts = rows[n % 2]
+        odd = n % 2 == 1
+        top, q, q0 = 0, n // p, (n - 2) // p
+        while q > q0 >= 0 and not (odd and p == 2):
+            top, q, q0 = top + 1, q // p, q0 // p
+        grown = 0  # how far the runs replaced so far moved the ones after them
         for t in range(top, -1, -1):
-            if t:
-                power = p**t
-                m = n0 // power + 1
-                m += (m - n) % 2
-                stop = min(n // power, n0 * p // power, cap)
-                at = starts[t] + len(factors) - before  # the higher segments grew
-            else:
-                m, stop, at = nxt, cap, len(factors)
-            while m <= stop:
-                if p == 2 or m % p:
-                    up = window(p, n, m)
-                    run, run_entries = [], []
-                    for s, length in _run_shape(p, m, up, odd):
-                        mult = counter(s, d)
-                        if mult:
-                            run.append(new(GroupFactor, (
-                                "witt", mult, length, ring, None, None, m, s, nu)))
-                            run_entries.append(_wire_entry(
-                                "witt", mult, length, ring_text, None, None, m, s, nu))
-                    end = at + sizes[m] if t else at
-                    factors[at:end] = run
-                    entries[at:end] = run_entries
-                    sizes[m] = len(run)
-                    at += len(run)
-                    if up > t + 1:  # the windows between t and up are left empty
-                        starts[t + 1:up] = [at] * (up - t - 1)
-                m += 2
+            m, at = n // p**t, starts[t] + grown
+            if m and m % 2 == n % 2 and (p == 2 or m % p):
+                run_factors, run_entries = run(m, t + 1, odd)
+                size, sizes[m] = sizes.get(m, 0), len(run_factors)
+                factors[at:at + size] = run_factors
+                entries[at:at + size] = run_entries
+                grown += sizes[m] - size
+                at += sizes[m]
             starts[t] = at
-        state[0], state[4] = n, m
         yield n, factors, entries
 
 
-def _rows(
-    ring: RingSpec, d: int, degrees: range, variant: str,
-    quillen_convention: str = "standard", m_prime_limit: int | None = None,
-) -> list[GroupExpr]:
-    """One GroupExpr per degree, carrying its wire entries: the one map
-    from a variant to its word count, its d (the dual numbers are d = 1)
-    and its Quillen summands."""
+def _rows(ring: RingSpec, d: int, variant: str, quillen_convention: str = "standard", *,
+          degree: int = 0, m_prime_limit: int | None = None,
+          max_degree: int | None = None) -> list[GroupExpr]:
+    """The GroupExpr of degree, or of each degree 0..max_degree, carrying its
+    wire entries: the one map from a variant to its word count, its d (the
+    dual numbers are d = 1) and its Quillen summands."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     counter = count_axes if variant == "axes" else count_aperiodic
@@ -305,10 +277,28 @@ def _rows(
         completeness = "integral-because-p-power-torsion"
     else:
         completeness = "p-complete"
+    if d < 1:
+        raise ValueError("d must be >= 1")
     p = ring.p
+    ring_text = _ring_to_str(ring)
     new = tuple.__new__
+
+    def run(m: int, t: int, odd: bool) -> tuple[list[GroupFactor], list[dict]]:
+        # the (m', t) run's factors with a nonzero word count, and their entries
+        nu = 0 if odd and p == 2 else None
+        run_factors, run_entries = [], []
+        for s, length in _run_shape(p, m, t, odd):
+            mult = counter(s, d)
+            if mult:
+                run_factors.append(new(GroupFactor, (
+                    "witt", mult, length, ring, None, None, m, s, nu)))
+                run_entries.append(_wire_entry(
+                    "witt", mult, length, ring_text, None, None, m, s, nu))
+        return run_factors, run_entries
+
     exprs = []
-    for n, factors, entries in _assemble_rows(ring, d, degrees, counter, m_prime_limit):
+    for n, factors, entries in ([_degree_row(run, p, degree, m_prime_limit)] if max_degree is None
+                                else _table_rows(run, p, max_degree)):
         # the Quillen summands sort first: they borrow the row's head for its one copy
         quillen = _quillen_factors(ring.q, n, quillen_convention) if integral else ()
         if quillen:
@@ -326,14 +316,14 @@ def relative_k(
     ring: RingSpec, d: int, degree: int, m_prime_limit: int | None = None
 ) -> GroupExpr:
     """Relative p-adic K-group of the square-zero extension in d variables."""
-    return _rows(ring, d, range(degree, degree + 1), "square", m_prime_limit=m_prime_limit)[0]
+    return _rows(ring, d, "square", degree=degree, m_prime_limit=m_prime_limit)[0]
 
 
 def axes_relative_k(
     ring: RingSpec, d: int, degree: int, m_prime_limit: int | None = None
 ) -> GroupExpr:
     """Coordinate-axes variant: word counts restricted to adjacent-distinct."""
-    return _rows(ring, d, range(degree, degree + 1), "axes", m_prime_limit=m_prime_limit)[0]
+    return _rows(ring, d, "axes", degree=degree, m_prime_limit=m_prime_limit)[0]
 
 
 def dual_numbers_k(ring: RingSpec, degree: int) -> GroupExpr:
@@ -387,8 +377,8 @@ def integral_k_finite_field(
     """Integral K-group over F_q: relative part plus the K(F_q) summand."""
     if degree < 0:
         raise ValueError("integral K-groups are computed for degree >= 0")
-    return _rows(RingSpec.from_q(q), d, range(degree, degree + 1), "integral",
-                 quillen_convention, m_prime_limit)[0]
+    return _rows(RingSpec.from_q(q), d, "integral", quillen_convention,
+                 degree=degree, m_prime_limit=m_prime_limit)[0]
 
 
 def table(
@@ -401,7 +391,7 @@ def table(
     """One GroupExpr per degree 0..max_degree, sharing their factors."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    return _rows(ring, d, range(max_degree + 1), variant, quillen_convention)
+    return _rows(ring, d, variant, quillen_convention, max_degree=max_degree)
 
 
 # ---------------------------------------------------------------------------

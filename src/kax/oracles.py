@@ -16,7 +16,7 @@ from itertools import accumulate, product, repeat
 from .errors import BudgetExceededError, InternalError
 from .fields import GaloisField, galois_field
 from .kcalc import RingSpec, order, relative_k
-from .numtheory import big_witt_order, require_prime
+from .numtheory import big_witt_order, factor_prime_power, require_prime
 from .witt import (
     eval_poly_int,
     ghost,
@@ -261,8 +261,6 @@ def check_k1(
     q_set=(2, 3, 4, 5, 9), d_set=(1, 2, 3), budget: int = 10**6
 ) -> list[ReportEntry]:
     """order(relative_k(F_q, d, 1)) against the enumerated unit group."""
-    from .numtheory import factor_prime_power
-
     report = []
     for q in q_set:
         p, f = factor_prime_power(q)

@@ -349,7 +349,11 @@ def restrict(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a[:-1])
 
 
-def iso_with_zpn(p: int, n: int, budget: int = 3**5) -> dict[int, tuple[int, ...]]:
+# the largest p^n iso_with_zpn checks: it multiplies every pair of Z/p^n
+ISO_BUDGET = 3**5
+
+
+def iso_with_zpn(p: int, n: int) -> dict[int, tuple[int, ...]]:
     """Oracle: k -> k*(1,0,...,0) is a ring isomorphism Z/p^n -> W_n(F_p).
 
     Returns the bijection table; raises InternalError if the map fails to
@@ -358,8 +362,8 @@ def iso_with_zpn(p: int, n: int, budget: int = 3**5) -> dict[int, tuple[int, ...
     """
     require_prime(p)
     pn = p**n
-    if pn > budget:
-        raise BudgetExceededError(f"p^n = {pn} exceeds budget {budget}")
+    if pn > ISO_BUDGET:
+        raise BudgetExceededError(f"p^n = {pn} exceeds budget {ISO_BUDGET}")
     ring = witt_ring(p, n, 1)
     table: dict[int, tuple[int, ...]] = {0: ring.zero}
     for k in range(1, pn):

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kax import kcalc
 from kax.errors import BudgetExceededError
 from kax.kcalc import (
     GroupExpr,
     GroupFactor,
     RingSpec,
-    _assemble_rows,
     _factor_entry,
     _run_shape,
     axes_relative_k,
@@ -417,26 +417,36 @@ def test_table_json_is_the_same_with_the_run_shapes_cold_and_warm():
         assert warm == cold, (ring, variant, d)
 
 
-# ranges that start above 0, and steps over which a window rises more than once
-ASSEMBLY_RANGES = (
-    range(37, 90), range(5, 60), range(101, 140), range(3, 200, 7), range(0, 90, 30),
-)
-
-
-@pytest.mark.parametrize("ring", ("Fq:2", "Fq:3", "Fq:25"))
+@pytest.mark.parametrize("ring", ("Fq:2", "Fq:3", "Fq:25", "Fq:7"))
 @pytest.mark.parametrize("limit", (None, 0, 7, 50))
 def test_assembled_rows_over_any_range_equal_the_single_degree_rows(ring, limit):
+    # the two row builders against each other: each row of a table, factors
+    # and entries, is its single-degree row, which a limit cuts to m' <= limit;
+    # a shorter table is a prefix of the longer one
     spec = parse_ring_spec(ring)
-    for counter, single in ((count_aperiodic, relative_k), (count_axes, axes_relative_k)):
-        for degrees in ASSEMBLY_RANGES:
-            # the yielded lists are live: copy each row before the next step
-            rows = [(n, tuple(factors), tuple(entries))
-                    for n, factors, entries in _assemble_rows(spec, 2, degrees, counter, limit)]
-            assert [n for n, _, _ in rows] == list(degrees)
-            for n, factors, entries in rows:
-                want = single(spec, 2, n, limit)
-                cell = (ring, limit, counter.__name__, degrees, n)
-                assert factors == want.factors and entries == want._entries, cell
+    for variant, single in (("square", relative_k), ("axes", axes_relative_k)):
+        rows = table(spec, 2, 200, variant)
+        for n, row in enumerate(rows):
+            kept = [i for i, gf in enumerate(row.factors) if limit is None or gf.m_prime <= limit]
+            want = single(spec, 2, n, limit)
+            cell = (ring, limit, variant, n)
+            assert want.factors == tuple(row.factors[i] for i in kept), cell
+            assert want._entries == tuple(row._entries[i] for i in kept), cell
+        for max_degree in (0, 1, 37, 128):
+            prefix = table(spec, 2, max_degree, variant)
+            assert prefix == rows[:max_degree + 1], (ring, variant, max_degree)
+            assert [e._entries for e in prefix] == [e._entries for e in rows[:max_degree + 1]]
+
+
+def test_table_rows_read_no_window(monkeypatch):
+    # a table steps its rows from the bounds n // p^t alone
+    def no_window(*args):
+        raise AssertionError("table() called tbounds.window")
+
+    monkeypatch.setattr(kcalc, "window", no_window)
+    for ring in ("Fq:2", "Fq:3", "Fq:25", "Fq:7", "perfectoid:R:3"):
+        for variant in ("square", "axes", "dual"):
+            assert len(table(parse_ring_spec(ring), 3, 200, variant)) == 201
 
 
 @pytest.mark.parametrize("ring, variant, d, max_degree",
