@@ -216,9 +216,17 @@ def _degree_row(run: Callable, p: int, n: int, m_prime_limit: int | None) -> tup
     (m', t) runs of the m' of n's parity, coprime to p if p is odd, up to n and
     m_prime_limit, m' ascending, t the window at n."""
     factors, entries = [], []
-    for m in range(2 - n % 2, (n if m_prime_limit is None else min(n, m_prime_limit)) + 1, 2):
+    first = 2 - n % 2
+    # t, the window at n, falls as m' ascends: lower it while m' p^(t-1) > n,
+    # that is m' p^t > n p
+    t = window(p, n, first)
+    top, reach = p**t, n * p
+    for m in range(first, (n if m_prime_limit is None else min(n, m_prime_limit)) + 1, 2):
+        while m * top > reach:
+            top //= p
+            t -= 1
         if p == 2 or m % p:
-            run_factors, run_entries = run(m, window(p, n, m), n % 2 == 1)
+            run_factors, run_entries = run(m, t, n % 2 == 1)
             factors += run_factors
             entries += run_entries
     return n, factors, entries

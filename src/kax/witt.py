@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from operator import getitem, lshift
+from operator import lshift
 
 from .errors import BudgetExceededError, InternalError
 from .fields import galois_field
@@ -256,7 +256,8 @@ class WittRing:
             frob.append([power_p[b] for b in frob[-1]])
         # dicts, so that a coordinate outside 0..q-1 fails its lookup
         twists = [dict(enumerate(map(lift.__getitem__, frob[-k % f]))) for k in range(f)]
-        self._lifts_down = [twists[i % f] for i in reversed(range(n))]
+        # (level, its lift table), top level first, for Horner's rule
+        self._lifts_down = [(i, twists[i % f]) for i in reversed(range(n))]
         self._digits = [frob[i % f] for i in range(n)]
         self._neg_base = wide([p ** (2 * n)] * f)
         # the packed p^n - tau(c), narrow, added at a level that reads c
@@ -271,13 +272,13 @@ class WittRing:
         self._narrow_shifts = [W * k for k in reversed(range(f))]
 
     def _fold(self, x: int) -> int:
-        # a product of two packed elements, its f - 1 high slots folded back
-        if self._folds:
-            B, mask = self._B, self._slot
-            hi, x = x >> self._high, x & self._low
-            for fold in self._folds:
-                x += (hi & mask) * fold
-                hi >>= B
+        # a product of two packed elements, its f - 1 high slots folded back;
+        # at f = 1 there are none, and the product is below 2^B
+        B, mask = self._B, self._slot
+        hi, x = x >> self._high, x & self._low
+        for fold in self._folds:
+            x += (hi & mask) * fold
+            hi >>= B
         return x
 
     def _image(self, a: tuple[int, ...]) -> int:
@@ -286,8 +287,8 @@ class WittRing:
         # Horner's rule from the top level down: n multiply-adds by p
         p, x = self.p, 0
         try:
-            for t in map(getitem, self._lifts_down, reversed(a)):
-                x = x * p + t
+            for i, lift in self._lifts_down:
+                x = x * p + lift[a[i]]
         except (KeyError, TypeError):
             raise ValueError(f"coordinate out of field range in {a}") from None
         return x
@@ -304,8 +305,9 @@ class WittRing:
                 out.append(c)
                 x = (x + steps[c]) // p
             return tuple(out)
-        mask = self._slot
-        x = sum((x >> s & mask) % pn << t for s, t in self._repack)
+        mask, wide, x = self._slot, x, 0
+        for s, t in self._repack:
+            x += (wide >> s & mask) % pn << t
         if p == 2:
             parities, bits = self._parities, self._parity_bits
             for digits in self._digits:
@@ -326,7 +328,8 @@ class WittRing:
         return self._read(self._image(a) + self._image(b))
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return self._read(self._fold(self._image(a) * self._image(b)))
+        x = self._image(a) * self._image(b)
+        return self._read(self._fold(x) if self._folds else x)
 
     def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
         return self._read(self._neg_base - self._image(a))

@@ -244,11 +244,6 @@ def _check_budget(s: int, d: int, axes: bool, budget: int | None,
         raise BudgetExceededError(f"a walk over words of {s} letters exceeds budget {budget}")
 
 
-def _is_axes_word(w: Word) -> bool:
-    s = len(w)
-    return all(w[i] != w[(i + 1) % s] for i in range(s))
-
-
 def enumerate_aperiodic(s: int, d: int, budget: int | None = None) -> list[CyclicWord]:
     """Canonical representatives of all period-s cyclic words, sorted."""
     if s < 1 or d < 1:
@@ -350,18 +345,3 @@ def count_by_enumeration(
         while w and w[-1] == top:
             w.pop()
     return count
-
-
-def brute_force_orbits(s: int, d: int, axes: bool = False) -> list[CyclicWord]:
-    """Dead-simple oracle: scan all d^s words, canonicalize, deduplicate.
-
-    Only meant for small cells; used in tests to cross-check the necklace
-    generator itself.
-    """
-    from itertools import product
-
-    seen: set[CyclicWord] = set()
-    for w in product(range(d), repeat=s):
-        if period(w) == s and (not axes or _is_axes_word(w)):
-            seen.add(canonicalize(w))
-    return sorted(seen)

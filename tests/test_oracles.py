@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from kax import oracles
 from kax.errors import BudgetExceededError, InternalError
 from kax.numtheory import factor_prime_power
 from kax.oracles import (
@@ -14,6 +15,7 @@ from kax.oracles import (
     k1_units,
     run_suites,
 )
+from kax.witt import WittRing, witt_polys
 
 
 def test_k1_units_examples():
@@ -143,3 +145,69 @@ def test_every_entry_is_built_from_the_module_report_entry(monkeypatch):
         "dual-numbers-order"}
     assert all(e.witness for e in failing if e.status == "fail")
     assert all(isinstance(e, Marked) for e in report + failing)
+
+
+def _witt_entries(report):
+    return {(e.check, tuple(e.params.values())): e for e in report}
+
+
+def test_check_witt_fails_a_mul_wrong_on_one_seeded_pair(monkeypatch):
+    # record the pairs the seeded triples multiply at W_2(F_9), then make mul
+    # wrong on the first one only: that cell alone fails, against the reference;
+    # the class is patched, so the cached rings see it
+    real_mul = WittRing.mul
+    seen = []
+
+    def recording_mul(self, a, b):
+        if (self.p, self.n, self.field.f) == (3, 2, 2):
+            seen.append((a, b))
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(WittRing, "mul", recording_mul)
+    assert all_passed(check_witt(p_set=(3,), n_max=2, triples=10))
+    target = seen[0]
+
+    def planted_mul(self, a, b):
+        out = real_mul(self, a, b)
+        if (self.p, self.n, self.field.f) == (3, 2, 2) and (a, b) == target:
+            return self.add(out, self.one)
+        return out
+
+    monkeypatch.setattr(WittRing, "mul", planted_mul)
+    entries = _witt_entries(check_witt(p_set=(3,), n_max=2, triples=10))
+    failed = entries.pop(("witt-ring-axioms", (3, 2, 2)))
+    assert failed.status == "fail"
+    assert failed.witness == (
+        f"a+b or a*b differs from the Witt polynomials at {target[0]}, {target[1]}")
+    assert all(e.status == "pass" for e in entries.values())
+
+
+@pytest.fixture
+def fresh_oracle_caches():
+    # the oracles memoise what they derive from witt_polys; clear it on both
+    # sides, so a planted polynomial is seen and does not outlive its test
+    def clear():
+        for value in vars(oracles).values():
+            if getattr(value, "__module__", None) == oracles.__name__ and hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_check_witt_fails_one_changed_structure_coefficient(monkeypatch, fresh_oracle_caches):
+    # S_1 = X_1 + Y_1 - X_0 Y_0 at p = 2, the X_0 Y_0 coefficient moved by p:
+    # the same polynomials mod 2, so only the ghost identity over Z sees it
+    real = witt_polys(2, 2)
+    s1 = dict(real.sum_polys[1])
+    assert s1[(1, 0, 1, 0)] == -1
+    s1[(1, 0, 1, 0)] = 1
+    planted = real._replace(sum_polys=(real.sum_polys[0], s1))
+    monkeypatch.setattr(oracles, "witt_polys",
+                        lambda p, n: planted if (p, n) == (2, 2) else witt_polys(p, n))
+    entries = _witt_entries(check_witt(p_set=(2,), n_max=2, f_set=(1, 2), triples=10))
+    failed = entries.pop(("witt-ghost", (2, 2)))
+    assert failed.status == "fail"
+    assert failed.witness.startswith("ghost additivity fails at ")
+    assert all(e.status == "pass" for e in entries.values())

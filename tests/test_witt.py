@@ -203,6 +203,18 @@ def test_ring_matches_the_witt_polynomials_past_gate_03(p, n, f):
         assert ring.add(a, ring.neg(a)) == ring.zero
 
 
+@pytest.mark.parametrize("p, n, f", [(2, 3, 1), (2, 2, 2), (3, 3, 1), (3, 2, 2), (5, 1, 2)])
+def test_ring_matches_the_witt_polynomials_on_every_pair(p, n, f):
+    # every digit at every level, so every slot value the lift and the
+    # readback meet in these rings, not only the seeded triples
+    ring = witt_ring(p, n, f)
+    vecs = list(product(ring.field.elements(), repeat=n))
+    for a in vecs:
+        assert ring.add(a, ring.neg(a)) == ring.zero, a
+        for b in vecs:
+            assert (ring.add(a, b), ring.mul(a, b)) == _poly_witt_ops(ring.field, n, a, b), (a, b)
+
+
 @pytest.mark.parametrize("f", [1, 2, 3])
 def test_w6_builds_and_computes_without_the_polynomials(monkeypatch, f):
     def no_solve(*args):

@@ -1,5 +1,6 @@
 import inspect
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from kax.words import (
     CyclicWord,
     DEFAULT_BUDGET,
     _lyndon_words,
-    brute_force_orbits,
     canonicalize,
     count_aperiodic,
     count_axes,
@@ -138,12 +138,22 @@ def test_axes_walk_matches_filtered_walk():
         assert count_by_enumeration(s, d, axes=True) == len(reference), (s, d)
 
 
+def _brute_force_orbits(s, d, axes=False):
+    # scan all d^s words, keep the primitive ones (cyclically adjacent-distinct
+    # for axes), canonicalize, deduplicate
+    seen = set()
+    for w in product(range(d), repeat=s):
+        if period(w) == s and (not axes or all(w[i] != w[i - 1] for i in range(s))):
+            seen.add(canonicalize(w))
+    return sorted(seen)
+
+
 def test_enumeration_matches_brute_force():
     # cross-check the necklace generator against the dumb scan
     for d in (1, 2, 3):
         for s in range(1, 8):
-            aperiodic = brute_force_orbits(s, d)
-            axes = brute_force_orbits(s, d, axes=True)
+            aperiodic = _brute_force_orbits(s, d)
+            axes = _brute_force_orbits(s, d, axes=True)
             assert enumerate_aperiodic(s, d) == aperiodic
             assert enumerate_axes(s, d) == axes
             assert count_by_enumeration(s, d) == len(aperiodic)
