@@ -21,7 +21,8 @@ m' that have the parity of the degree and, for p odd, are coprime to p.
 A row is its (m', t) runs, m' ascending, which is t descending, then s
 ascending: the canonical order.  One run builder makes a run's factors
 from its memoised shape, and two row builders share it.  A single degree
-lists its m' and reads each window with tbounds.window: the definition.
+lists its m' and reads the window of the first with tbounds.window, then
+lowers it as m' ascends, since the window never rises with m'.
 table() steps one running row per parity from the empty row.  A factor
 depends on the degree only through the window t, and m' has window t at
 degree n exactly when n // p^t < m' <= n // p^(t-1); so from n - 2 to n

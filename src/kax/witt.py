@@ -194,7 +194,9 @@ class WittRing:
     divisible by p and below 2 p^n < 2^W.  So dividing the whole integer
     exactly by p divides every slot, and the new slots are below
     2 p^(n-1) <= p^n.  The added p^n is p^(n-1) after the division, a
-    multiple of the modulus p^(n-1-i) the rest is read under.
+    multiple of the modulus p^(n-1-i) the rest is read under.  At f = 1
+    there is one slot and no high slot to fold: a product is read as it
+    is, reduced mod p^n, and each digit is its own residue.
 
     Set-up computes in the same layout, and holds one packed lift per
     field element, shared by f tables, one per Frobenius twist: level i
