@@ -72,7 +72,12 @@ def find_modulus(p: int, f: int) -> list[int]:
 
 
 class GaloisField:
-    """F_{p^f} with integer-encoded elements and lookup-table products."""
+    """F_{p^f} with integer-encoded elements and lookup-table products.
+
+    add_table[a][b] and mul_table[a][b] are a + b and a * b, for callers
+    that evaluate many terms without a method call each; they are shared,
+    so read them only.
+    """
 
     def __init__(self, p: int, f: int):
         require_prime(p)
@@ -84,9 +89,9 @@ class GaloisField:
         if self.q > _TABLE_LIMIT:
             raise ValueError(f"field order {self.q} exceeds supported size")
         self.modulus = find_modulus(p, f)
-        self._add = self._build_add_table()
-        self._neg = [row.index(0) for row in self._add]
-        self.primitive, self._mul = self._build_mul_table()
+        self.add_table = self._build_add_table()
+        self._neg = [row.index(0) for row in self.add_table]
+        self.primitive, self.mul_table = self._build_mul_table()
 
     def _build_add_table(self) -> list[list[int]]:
         # digit by digit: a + b = (a + b) % p + p * T[a // p][b // p], where
@@ -123,13 +128,13 @@ class GaloisField:
         return sum((c % self.p) * self.p**i for i, c in enumerate(coords))
 
     def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
         return self._neg[a]
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return self.mul_table[a][b]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -138,8 +143,8 @@ class GaloisField:
         out = 1
         while e:
             if e & 1:
-                out = self._mul[out][a]
-            a = self._mul[a][a]
+                out = self.mul_table[out][a]
+            a = self.mul_table[a][a]
             e >>= 1
         return out
 

@@ -21,8 +21,7 @@ m' that have the parity of the degree and, for p odd, are coprime to p.
 A row is its (m', t) runs, m' ascending, which is t descending, then s
 ascending: the canonical order.  One run builder makes a run's factors
 from its memoised shape, and two row builders share it.  A single degree
-lists its m' and reads the window of the first with tbounds.window, then
-lowers it as m' ascends, since the window never rises with m'.
+lists its m' and reads each window with tbounds.window: the definition.
 table() steps one running row per parity from the empty row.  A factor
 depends on the degree only through the window t, and m' has window t at
 degree n exactly when n // p^t < m' <= n // p^(t-1); so from n - 2 to n
@@ -217,17 +216,9 @@ def _degree_row(run: Callable, p: int, n: int, m_prime_limit: int | None) -> tup
     (m', t) runs of the m' of n's parity, coprime to p if p is odd, up to n and
     m_prime_limit, m' ascending, t the window at n."""
     factors, entries = [], []
-    first = 2 - n % 2
-    # t, the window at n, falls as m' ascends: lower it while m' p^(t-1) > n,
-    # that is m' p^t > n p
-    t = window(p, n, first)
-    top, reach = p**t, n * p
-    for m in range(first, (n if m_prime_limit is None else min(n, m_prime_limit)) + 1, 2):
-        while m * top > reach:
-            top //= p
-            t -= 1
+    for m in range(2 - n % 2, (n if m_prime_limit is None else min(n, m_prime_limit)) + 1, 2):
         if p == 2 or m % p:
-            run_factors, run_entries = run(m, t, n % 2 == 1)
+            run_factors, run_entries = run(m, window(p, n, m), n % 2 == 1)
             factors += run_factors
             entries += run_entries
     return n, factors, entries

@@ -62,7 +62,8 @@ class SquareZeroRing:
         # product rows of a0 and b0 and its sum table
         a0, av = a
         b0, bv = b
-        add, by_a0, by_b0 = self.field._add, self.field._mul[a0], self.field._mul[b0]
+        F = self.field
+        add, by_a0, by_b0 = F.add_table, F.mul_table[a0], F.mul_table[b0]
         return by_a0[b0], tuple([add[by_a0[y]][by_b0[x]] for x, y in zip(av, bv)])
 
     def one(self):
@@ -171,7 +172,7 @@ def _power_table(field: GaloisField, max_exp: int) -> list[list[int]]:
 def _poly_witt_ops(field: GaloisField, n: int, a, b) -> tuple[tuple[int, ...], ...]:
     """(a + b, a * b) in W_n(F_q) by the structure polynomials."""
     folded, max_exp = _folded_witt_polys(field.p, n, field.f)
-    mul, add = field._mul, field._add
+    mul, add = field.mul_table, field.add_table
     table = _power_table(field, max_exp)
     pows = [table[v] for v in a + b]
     out = []

@@ -136,18 +136,6 @@ def ghost(p: int, coords: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def eval_poly_int(poly: Poly, vals: tuple[int, ...]) -> int:
-    """Exact integer evaluation; used by the ghost-identity tests."""
-    total = 0
-    for m, c in poly.items():
-        t = c
-        for v, e in zip(vals, m):
-            if e:
-                t *= v**e
-        total += t
-    return total
-
-
 # ---------------------------------------------------------------------------
 # runtime arithmetic in the Galois ring Z_q/p^n
 
@@ -274,13 +262,13 @@ class WittRing:
         self._narrow_shifts = [W * k for k in reversed(range(f))]
 
     def _fold(self, x: int) -> int:
-        # a product of two packed elements, its f - 1 high slots folded back;
-        # at f = 1 there are none, and the product is below 2^B
-        B, mask = self._B, self._slot
-        hi, x = x >> self._high, x & self._low
-        for fold in self._folds:
-            x += (hi & mask) * fold
-            hi >>= B
+        # a product of two packed elements, its f - 1 high slots folded back
+        if self._folds:
+            B, mask = self._B, self._slot
+            hi, x = x >> self._high, x & self._low
+            for fold in self._folds:
+                x += (hi & mask) * fold
+                hi >>= B
         return x
 
     def _image(self, a: tuple[int, ...]) -> int:
@@ -330,8 +318,7 @@ class WittRing:
         return self._read(self._image(a) + self._image(b))
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        x = self._image(a) * self._image(b)
-        return self._read(self._fold(x) if self._folds else x)
+        return self._read(self._fold(self._image(a) * self._image(b)))
 
     def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
         return self._read(self._neg_base - self._image(a))

@@ -11,7 +11,6 @@ from kax.oracles import _poly_witt_ops
 from kax.witt import (
     MAX_WITT_BITS,
     WittRing,
-    eval_poly_int,
     ghost,
     iso_with_zpn,
     restrict,
@@ -43,6 +42,17 @@ def test_witt_polys_p3_sum():
         (2, 0, 1, 0): -1,
         (1, 0, 2, 0): -1,
     }
+
+
+def eval_poly_int(poly, vals):
+    """Exact integer value of a witt_polys polynomial, a dict from exponent
+    vectors to coefficients, at vals."""
+    total = 0
+    for m, c in poly.items():
+        for v, e in zip(vals, m):
+            c *= v**e
+        total += c
+    return total
 
 
 def test_ghost_compatibility_exact():
