@@ -260,19 +260,16 @@ def cmd_count_words(args) -> int:
         count_text = str(count)
     except ValueError as exc:
         raise digit_limit_error(what) from exc
+    record = {"count": count_text}
     if args.list:
         enum = words.enumerate_axes if args.axes else words.enumerate_aperiodic
-        listed = [words.render_word(w.canonical, args.d) for w in enum(args.s, args.d)]
-        if args.format == "json":
-            print(json.dumps({"count": count_text, "words": listed}))
-        else:
-            print(count_text)
-            print(" ".join(listed))
+        record["words"] = [words.render_word(w.canonical, args.d) for w in enum(args.s, args.d)]
+    if args.format == "json":
+        print(json.dumps(record))
     else:
-        if args.format == "json":
-            print(json.dumps({"count": count_text}))
-        else:
-            print(count_text)
+        print(count_text)
+        if args.list:
+            print(" ".join(record["words"]))
     return 0
 
 

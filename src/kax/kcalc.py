@@ -36,9 +36,11 @@ entries (after those of its Quillen summands), which group_expr_to_dict
 copies.  Rows that share a factor share its entry, so the entries are
 read-only.  An expression made any other way (by hand, by
 group_expr_from_dict, by _replace) carries none: group_expr_to_dict
-builds its entries from its factors.  Every entry goes through
-_wire_entry, the one entry format, where an integer too long for the
-interpreter's int-to-str limit is a budget error.
+builds its entries from its factors.  Every entry, of a run's factor, a
+Quillen summand or a factor of such an expression, is built by
+_wire_entry from the factor it describes and its ring label: the one
+entry format, where an integer too long for the interpreter's int-to-str
+limit is a budget error.
 """
 
 from __future__ import annotations
@@ -290,10 +292,9 @@ def _rows(ring: RingSpec, d: int, variant: str, quillen_convention: str = "stand
         for s, length in _run_shape(p, m, t, odd):
             mult = counter(s, d)
             if mult:
-                run_factors.append(new(GroupFactor, (
-                    "witt", mult, length, ring, None, None, m, s, nu)))
-                run_entries.append(_wire_entry(
-                    "witt", mult, length, ring_text, None, None, m, s, nu))
+                gf = new(GroupFactor, ("witt", mult, length, ring, None, None, m, s, nu))
+                run_factors.append(gf)
+                run_entries.append(_wire_entry(gf, ring_text))
         return run_factors, run_entries
 
     exprs = []
@@ -303,7 +304,7 @@ def _rows(ring: RingSpec, d: int, variant: str, quillen_convention: str = "stand
         quillen = _quillen_factors(ring.q, n, quillen_convention) if integral else ()
         if quillen:
             factors[:0] = quillen
-            entries[:0] = map(_factor_entry, quillen)
+            entries[:0] = [_wire_entry(gf, None) for gf in quillen]
         expr = new(GroupExpr, (n, p, completeness, tuple(factors)))
         expr.__dict__["_entries"] = tuple(entries)
         if quillen:
@@ -416,16 +417,14 @@ def factor_digit_limit_error(
     return digit_limit_error(f"an integer of the {kind} factor{where}")
 
 
-def _wire_entry(
-    kind: str, multiplicity: int, length: int | None, ring_text: str | None,
-    order: int | None, rank: int | None, m_prime: int | None, s: int | None, nu: int | None,
-) -> dict:
-    """The JSON wire entry of one factor, from its fields and ring label.
+def _wire_entry(gf: GroupFactor, ring_text: str | None) -> dict:
+    """The JSON wire entry of one factor, with ring_text the label of its ring.
 
     The integers that JSON cannot hold exactly (multiplicity, cyclic order)
     go out as decimal strings.  One too long for the interpreter's
     int-to-str limit is a budget error, not a usage error.
     """
+    kind, multiplicity, length, _, order, rank, m_prime, s, nu = gf
     try:
         mult_text = str(multiplicity)
         order_text = None if order is None else str(order)
@@ -443,13 +442,6 @@ def _wire_entry(
     return entry
 
 
-def _factor_entry(gf: GroupFactor) -> dict:
-    """The wire entry of one factor, from the factor alone."""
-    kind, multiplicity, length, ring, *rest = gf
-    return _wire_entry(kind, multiplicity, length,
-                       None if ring is None else _ring_to_str(ring), *rest)
-
-
 def group_expr_to_dict(expr: GroupExpr) -> dict:
     """The JSON wire form of expr: a fresh top-level dict and factor list.
 
@@ -459,12 +451,15 @@ def group_expr_to_dict(expr: GroupExpr) -> dict:
     entry built from each factor.
     """
     entries = expr._entries
+    if entries is None:
+        entries = [_wire_entry(gf, None if gf.ring is None else _ring_to_str(gf.ring))
+                   for gf in expr.factors]
     complete = "integral" if expr.completeness.startswith("integral") else "p-complete"
     return {
         "degree": expr.degree,
         "p": expr.p,
         "complete": complete,
-        "factors": list(map(_factor_entry, expr.factors)) if entries is None else list(entries),
+        "factors": list(entries),
     }
 
 

@@ -6,7 +6,7 @@ Everything here is arbitrary-precision; no floating point is used anywhere
 in this package.
 """
 
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import InternalError
 
@@ -82,12 +82,6 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def in_jp(p: int, m: int) -> bool:
-    """True iff m is coprime to the prime p."""
-    require_prime(p)
-    return gcd(m, p) == 1
-
-
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Write q = p^f with p prime, or raise ValueError."""
     if q < 2:
@@ -125,7 +119,7 @@ def big_witt_order(m: int, p: int, f: int) -> int:
         raise ValueError("m must be >= 0")
     total_len = 0
     for j in range(1, m + 1):
-        if not in_jp(p, j):
+        if j % p == 0:
             continue
         length = 0
         jp = j

@@ -138,42 +138,28 @@ def check_counts(
 
 
 @lru_cache(maxsize=None)
-def _sparse_witt_polys(p: int, n: int) -> list[list[tuple[int, tuple[tuple[int, int], ...]]]]:
-    """S_0..S_{n-1}, P_0..P_{n-1} of witt_polys(p, n), each a list of
-    (coefficient, ((variable, exponent), ...)) monomials, zero exponents
-    left out."""
-    polys = witt_polys(p, n)
-    return [[(c, tuple((v, e) for v, e in enumerate(m) if e)) for m, c in poly.items()]
-            for poly in polys.sum_polys + polys.prod_polys]
+def _reference_polys(field: GaloisField, n: int):
+    """S_0..S_{n-1}, P_0..P_{n-1} of witt_polys(p, n) over F_q, each a list of
+    (coefficient, ((variable, exponent), ...)) monomials, and the power table
+    pows[v][e] = v^e in F_q up to the largest exponent in them.
 
-
-@lru_cache(maxsize=None)
-def _folded_witt_polys(p: int, n: int, f: int):
-    """_sparse_witt_polys(p, n) over F_{p^f}, and the largest exponent in them.
-
-    Coefficients are taken mod p, the monomials they kill dropped, and each
-    exponent folded into 1..q-1 by x^q = x.
+    Coefficients are taken mod p, the monomials they kill dropped, zero
+    exponents left out and each other folded into 1..q-1 by x^q = x.
     """
-    q = p**f
-    folded = [[(c % p, tuple((v, (e - 1) % (q - 1) + 1) for v, e in monom))
-               for c, monom in poly if c % p]
-              for poly in _sparse_witt_polys(p, n)]
+    p, q = field.p, field.q
+    polys = witt_polys(p, n)
+    folded = [[(c % p, tuple((v, (e - 1) % (q - 1) + 1) for v, e in enumerate(m) if e))
+               for m, c in poly.items() if c % p]
+              for poly in polys.sum_polys + polys.prod_polys]
     max_exp = max((e for poly in folded for _, monom in poly for _, e in monom), default=1)
-    return folded, max_exp
-
-
-@lru_cache(maxsize=None)
-def _power_table(field: GaloisField, max_exp: int) -> list[list[int]]:
-    """pows[v][e] = v^e in F_q for e <= max_exp, by repeated field.mul."""
-    return [list(accumulate(repeat(v, max_exp), field.mul, initial=1))
-            for v in field.elements()]
+    pows = [list(accumulate(repeat(v, max_exp), field.mul, initial=1)) for v in field.elements()]
+    return folded, pows
 
 
 def _poly_witt_ops(field: GaloisField, n: int, a, b) -> tuple[tuple[int, ...], ...]:
     """(a + b, a * b) in W_n(F_q) by the structure polynomials."""
-    folded, max_exp = _folded_witt_polys(field.p, n, field.f)
+    folded, table = _reference_polys(field, n)
     mul, add = field.mul_table, field.add_table
-    table = _power_table(field, max_exp)
     pows = [table[v] for v in a + b]
     out = []
     for poly in folded:
@@ -217,16 +203,17 @@ def _ring_axiom_failures(p: int, n: int, f: int, triples: int, rng) -> str | Non
 
 
 def _ghost_failure(p: int, n: int, samples: int, rng) -> str | None:
-    polys = _sparse_witt_polys(p, n)
+    polys = witt_polys(p, n)
     for _ in range(samples):
         x = tuple(rng.randrange(-9, 10) for _ in range(n))
         y = tuple(rng.randrange(-9, 10) for _ in range(n))
         xy, values = x + y, []
-        for poly in polys:
+        for poly in polys.sum_polys + polys.prod_polys:
             total = 0
-            for c, monom in poly:
-                for v, e in monom:
-                    c *= xy[v] ** e
+            for monom, c in poly.items():
+                for v, e in enumerate(monom):
+                    if e:
+                        c *= xy[v] ** e
                 total += c
             values.append(total)
         s, m = tuple(values[:n]), tuple(values[n:])

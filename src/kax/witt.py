@@ -9,8 +9,10 @@ the integers from the ghost-component identities
     w_i(x) = sum_{j<=i} p^j * x_j^(p^(i-j)),
     w_i(S) = w_i(X) + w_i(Y),    w_i(P) = w_i(X) * w_i(Y),
 
-with integrality asserted coefficient by coefficient, and kax.oracles
-checks WittRing against them.  Vectors are plain tuples of field-element
+each w_i built as its i + 1 monomials, with integrality asserted
+coefficient by coefficient.  They come in one form, dicts from exponent
+tuple to coefficient, which kax.oracles evaluates over Z and folds into
+F_q to check WittRing against.  Vectors are plain tuples of field-element
 codes.
 """
 
@@ -30,21 +32,16 @@ from .numtheory import require_prime
 Poly = dict[tuple[int, ...], int]
 
 
-def _padd(a: Poly, b: Poly) -> Poly:
+def _padd(a: Poly, b: Poly, k: int = 1) -> Poly:
+    # a + k b
     out = dict(a)
     for m, c in b.items():
-        nc = out.get(m, 0) + c
+        nc = out.get(m, 0) + k * c
         if nc:
             out[m] = nc
         elif m in out:
             del out[m]
     return out
-
-
-def _pscale(a: Poly, k: int) -> Poly:
-    if k == 0:
-        return {}
-    return {m: c * k for m, c in a.items()}
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
@@ -84,17 +81,14 @@ def _pdiv_exact(a: Poly, k: int) -> Poly:
     return out
 
 
-def _var(nvars: int, i: int) -> Poly:
-    m = [0] * nvars
-    m[i] = 1
-    return {tuple(m): 1}
-
-
 def _ghost_poly(p: int, nvars: int, offset: int, i: int) -> Poly:
-    # w_i over the variable block starting at `offset`
+    # w_i over the variable block starting at `offset`: its i + 1 monomials
+    # p^j x_j^(p^(i-j))
     out: Poly = {}
     for j in range(i + 1):
-        out = _padd(out, _pscale(_ppow(_var(nvars, offset + j), p ** (i - j)), p**j))
+        m = [0] * nvars
+        m[offset + j] = p ** (i - j)
+        out[tuple(m)] = p**j
     return out
 
 
@@ -122,7 +116,7 @@ def witt_polys(p: int, n: int) -> WittPolySet:
             gy = _ghost_poly(p, nvars, n, i)
             goal = _padd(gx, gy) if which == "sum" else _pmul(gx, gy)
             for j in range(i):
-                goal = _padd(goal, _pscale(_ppow(acc[j], p ** (i - j)), -(p**j)))
+                goal = _padd(goal, _ppow(acc[j], p ** (i - j)), -(p**j))
             acc.append(_pdiv_exact(goal, p**i))
     return WittPolySet(p, n, tuple(sums), tuple(prods))
 

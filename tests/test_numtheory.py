@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from kax.numtheory import (
     divisors,
     factor_prime_power,
-    in_jp,
     is_prime,
     mobius,
     vp,
@@ -65,12 +64,6 @@ def test_divisors_involution(n):
     ds = divisors(n)
     assert ds == sorted(ds)
     assert [n // d for d in reversed(ds)] == ds
-
-
-def test_in_jp():
-    assert in_jp(3, 4)
-    assert not in_jp(3, 9)
-    assert in_jp(2, 7)
 
 
 def test_is_prime_small():

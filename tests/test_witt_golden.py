@@ -1,9 +1,11 @@
 """WittRing add/mul/neg pinned by sha256 to results recorded before the
-packed Galois-ring arithmetic replaced the per-coordinate lists.
+packed Galois-ring arithmetic replaced the per-coordinate lists, and the
+ghost-solved structure polynomials pinned to those recorded before each
+ghost polynomial was built directly from its monomials.
 
-Each hash covers one grid of cells: for every pair (a, b) a line holding
-a, b, a + b, a * b and -a.  The ceiling cells include the all-(q - 1)
-vectors, whose images have the widest slots.
+Each WittRing hash covers one grid of cells: for every pair (a, b) a line
+holding a, b, a + b, a * b and -a.  The ceiling cells include the
+all-(q - 1) vectors, whose images have the widest slots.
 """
 
 import hashlib
@@ -12,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from kax.witt import WittRing
+from kax.witt import WittRing, witt_polys
 
 
 def _digest(cells, pairs_of) -> str:
@@ -75,3 +77,18 @@ CEILING_HASHES = {
     (3, 128, 5): "34c33430eea946bbb5086eb6015476b2243ec5227240c8813955dfa60fc937a4",
     (5, 85, 3): "b50c5286f4be432311b5734d26363854ffe65ae180dd58663df5e6e94425922a",
 }
+
+
+# witt_polys(p, n) for p = 2, 3, 5 up to n = 3, then (2, 4), (2, 5), (3, 4)
+POLY_CELLS = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)] + [(2, 4), (2, 5), (3, 4)]
+
+
+def test_structure_polynomials_hash():
+    # one line per S_i, then per P_i: its (monomial, coefficient) items, sorted
+    h = hashlib.sha256()
+    for p, n in POLY_CELLS:
+        polys = witt_polys(p, n)
+        for poly in polys.sum_polys + polys.prod_polys:
+            h.update(f"{p},{n}|{sorted(poly.items())}\n".encode())
+    assert h.hexdigest() == (
+        "d8868d08173fbf3bb9de874edd720263a15a1ecbc260789b00e5de3868bbac4e")
