@@ -135,9 +135,10 @@ def ghost(p: int, coords: tuple[int, ...]) -> tuple[int, ...]:
 
 # The ceiling on n * ceil(log2 p), for which a WittRing is built: p^n - 1,
 # the largest coefficient mod p^n, has at most that many bits.  A packed
-# element then has f slots of at most 5 * 256 + bitlen(f^2) bits, and the
+# element then has f slots of at most 5 * 256 + bitlen(2 f^2) bits, and the
 # Teichmueller lift takes one power to the exponent p^(n-1); at the ceiling
-# a ring over F_512 builds in about 0.15 s and multiplies in under 1 ms
+# a ring over F_512 builds in about 0.1 s and multiplies in about 1 ms, and
+# the rings over F_243 and F_125 multiply in about 0.5 and 0.25 ms
 # (2-core x86-64, Python 3.11).
 MAX_WITT_BITS = 256
 
@@ -167,18 +168,20 @@ class WittRing:
     below f p^(4n).  Its f - 1 high slots are folded back, slot f + j
     times the packed x^(f+j) mod m (slots below p^n), which leaves slots
     below f p^(4n) + (f - 1) f p^(4n) p^n <= f^2 p^(5n).  Every bound is
-    at most f^2 p^(5n), so B = bitlen(f^2 p^(5n)).
+    at most S = f^2 p^(5n), and readback adds at most p^n to a slot, so
+    B = bitlen(2 S), as S + p^n <= 2 S.
 
-    Readback.  Each slot is reduced mod p^n once and repacked into slots
-    of W = bitlen(p^n) + 1 bits.  At each level the slots s are below
-    p^n; the residue code c is read from the slots mod p, the digit
-    looked up, and the packed p^n - tau(c) added, which leaves each slot
-    divisible by p and below 2 p^n < 2^W.  So dividing the whole integer
-    exactly by p divides every slot, and the new slots are below
-    2 p^(n-1) <= p^n.  The added p^n is p^(n-1) after the division, a
-    multiple of the modulus p^(n-1-i) the rest is read under.  At f = 1
-    there is one slot and no high slot to fold: a product is read as it
-    is, reduced mod p^n, and each digit is its own residue.
+    Readback.  At each level the residue code c is read from the slots
+    mod p, its digit looked up, and the packed p^n - tau(c) added.  A
+    slot s below S is congruent mod p to the coefficient it stands for,
+    so s + p^n - tau(c)_k is divisible by p, and it is at least 0 and
+    below S + p^n <= 2 S <= 2^B.  So dividing the whole integer exactly
+    by p divides every slot, and the new slots are below
+    (S + p^n) / p <= S, as p^n <= (p - 1) S.  The added p^n is p^(n-1)
+    after the division, a multiple of the modulus p^(n-1-i) the rest is
+    read under, so no slot is ever reduced mod p^n.  At f = 1 there is
+    one slot and no high slot to fold: it is reduced mod p^n once, and
+    each digit is its own residue.
 
     Set-up computes in the same layout, and holds one packed lift per
     field element, shared by f tables, one per Frobenius twist: level i
@@ -199,16 +202,15 @@ class WittRing:
         self.one = (1,) + (0,) * (n - 1)
         q = F.q
         self._pn = pn = p**n
-        # wide slots hold any image, sum, negation or folded product;
-        # narrow ones a residue mod p^n during readback
-        B = (f * f * p ** (5 * n)).bit_length()
-        W = pn.bit_length() + 1
+        # slots hold any image, sum, negation or folded product, and the
+        # p^n readback adds to one
+        B = (2 * f * f * p ** (5 * n)).bit_length()
         self._B, self._slot, self._high = B, (1 << B) - 1, B * f
         self._low = (1 << (B * f)) - 1
-        self._repack = repack = [(B * k, W * k) for k in range(f)]
-        wide = lambda cs: sum(map(lshift, cs, range(0, B * f, B)))
-        # each wide slot reduced mod p^n, the layout kept
-        mod_pn = lambda x: sum((x >> s & self._slot) % pn << s for s, _ in repack)
+        shifts = range(0, B * f, B)
+        wide = lambda cs: sum(map(lshift, cs, shifts))
+        # each slot reduced mod p^n
+        mod_pn = lambda x: wide([(x >> s & self._slot) % pn for s in shifts])
         # x^(f+j) mod m for j < f - 1, folded into the low slots of a
         # product: x^f = -(m_0 + ... + m_(f-1) x^(f-1)), and each next one is
         # x times the last, whose one high slot folds by x^f
@@ -244,16 +246,15 @@ class WittRing:
         self._lifts_down = [(i, twists[i % f]) for i in reversed(range(n))]
         self._digits = [frob[i % f] for i in range(n)]
         self._neg_base = wide([p ** (2 * n)] * f)
-        # the packed p^n - tau(c), narrow, added at a level that reads c
-        top = sum(pn << w for _, w in repack)
-        self._steps = [top - sum((t >> s & self._slot) << w for s, w in repack) for t in lift]
-        # the residue code: for p = 2 the parity bits of the narrow slots
-        # name it (those of a step, as tau(c) = c mod 2 and p^n is even),
-        # for odd p it is read slot by slot from the top
-        self._parity_bits = bits = sum(1 << w for _, w in repack)
+        # the packed p^n - tau(c), added at a level that reads c
+        top = wide([pn] * f)
+        self._steps = [top - t for t in lift]
+        # the residue code: for p = 2 the parity bits of the slots name it
+        # (those of a step, as tau(c) = c mod 2 and p^n is even), for odd p
+        # it is read slot by slot from the top
+        self._parity_bits = bits = wide([1] * f)
         self._parities = {step & bits: c for c, step in enumerate(self._steps)} if p == 2 else None
-        self._narrow_slot = (1 << W) - 1
-        self._narrow_shifts = [W * k for k in reversed(range(f))]
+        self._shifts = shifts[::-1]
 
     def _fold(self, x: int) -> int:
         # a product of two packed elements, its f - 1 high slots folded back
@@ -278,20 +279,18 @@ class WittRing:
         return x
 
     def _read(self, x: int) -> tuple[int, ...]:
-        # the Teichmueller digits of a packed element with nonnegative slots
-        p, pn, steps, out = self.p, self._pn, self._steps, []
+        # the Teichmueller digits of a packed element with slots in
+        # [0, f^2 p^(5n))
+        p, steps, out = self.p, self._steps, []
         if not self._folds:
             # f = 1: one slot, and as the Frobenius of F_p is the identity
             # each digit is its own residue
-            x %= pn
+            x %= self._pn
             for _ in range(self.n):
                 c = x % p
                 out.append(c)
                 x = (x + steps[c]) // p
             return tuple(out)
-        mask, wide, x = self._slot, x, 0
-        for s, t in self._repack:
-            x += (wide >> s & mask) % pn << t
         if p == 2:
             parities, bits = self._parities, self._parity_bits
             for digits in self._digits:
@@ -299,7 +298,7 @@ class WittRing:
                 out.append(digits[c])
                 x = (x + steps[c]) >> 1
         else:
-            shifts, mask = self._narrow_shifts, self._narrow_slot
+            shifts, mask = self._shifts, self._slot
             for digits in self._digits:
                 c = 0
                 for s in shifts:

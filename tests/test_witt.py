@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from test_witt_golden import CEILING, GRID
 
 from kax import witt
 from kax.errors import BudgetExceededError
@@ -247,6 +248,21 @@ def test_w6_builds_and_computes_without_the_polynomials(monkeypatch, f):
     for _ in range(64):
         multiples.append(ring.add(multiples[-1], ring.one))
     assert len(set(multiples[:64])) == 64 and multiples[64] == ring.zero
+
+
+@pytest.mark.parametrize("p, n, f", GRID + [cell for cell in CEILING if cell[2] > 1])
+def test_readback_needs_no_slot_reduced_mod_pn(p, n, f):
+    # every slot a product, sum or negation can leave lies in [0, f^2 p^(5n));
+    # reading such an integer must give the digits of the same element with
+    # each slot reduced mod p^n, as nothing reduces the slots before reading
+    ring = witt_ring(p, n, f)
+    pn, top = p**n, f * f * p ** (5 * n)
+    rng = random.Random(f"readback {p},{n},{f}")
+    pack = lambda slots: sum(s << (ring._B * k) for k, s in enumerate(slots))
+    cases = [[top - 1] * f, [0] * f] + [[rng.randrange(top) for _ in range(f)]
+                                        for _ in range(30 if n < 100 else 10)]
+    for slots in cases:
+        assert ring._read(pack(slots)) == ring._read(pack([s % pn for s in slots])), slots
 
 
 def test_ring_past_the_ceiling_is_a_budget_error():
