@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from math import isqrt
 
 from . import kcalc, words
@@ -64,15 +65,13 @@ def _render_factor_text(gf: GroupFactor, expr: GroupExpr) -> str:
         raise kcalc.factor_digit_limit_error(gf.kind, gf.m_prime, gf.s) from exc
 
 
-def _bits_surely_too_long(bits: int, limit: int | None = None) -> bool:
-    """True when an integer of at least 2**bits must pass `limit` digits,
-    by default the int-to-str limit.
+def _bits_surely_too_long(bits: int) -> bool:
+    """True when an integer of at least 2**bits must pass the int-to-str limit.
 
     Such an integer has at least bits * 3 // 10 + 1 decimal digits, as each
     bit is worth more than 3/10 of a digit.  Off when the limit is 0.
     """
-    if limit is None:
-        limit = sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits()
     return limit != 0 and bits * 3 // 10 + 1 > limit
 
 
@@ -87,15 +86,11 @@ def render_text(expr: GroupExpr) -> str:
         return f"{body} ({o} order)" if o == "symbolic" else f"{body} (infinite)"
     n, c = o
     p = expr.p
-    # with the limit off (0) the default limit still bounds the decimal, so
-    # that no order is built digit by digit past it
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     # p**n >= 2**(n * (bit_length(p) - 1)): far past the limit the decimal
-    # is never built, and nearer it its digit count decides exactly
-    if not _bits_surely_too_long(n * (p.bit_length() - 1), limit):
-        total = p**n * c
-        if total < 10**limit:
-            return f"{body} (order {total})"
+    # is never built, and nearer it str() decides
+    if not _bits_surely_too_long(n * (p.bit_length() - 1)):
+        with suppress(ValueError):
+            return f"{body} (order {p**n * c})"
     try:
         return f"{body} (order {p}^{n})" if c == 1 else f"{body} (order {p}^{n} * {c})"
     except ValueError as exc:
@@ -279,19 +274,14 @@ def _parse_coords(text: str, n: int, f: int, p: int) -> tuple[int, ...]:
         raise KaxError(f"expected {n} coordinates, got {len(parts)}")
     out = []
     for part in parts:
-        if f == 1:
-            out.append(int(part) % p)
-        else:
-            digits = [int(x) % p for x in part.split(":")]
-            if len(digits) != f:
-                raise KaxError(f"coordinate {part!r} must have {f} components")
-            out.append(sum(c * p**i for i, c in enumerate(digits)))
+        digits = [int(x) % p for x in part.split(":")]
+        if len(digits) != f:
+            raise KaxError(f"coordinate {part!r} must have {f} components")
+        out.append(sum(c * p**i for i, c in enumerate(digits)))
     return tuple(out)
 
 
 def _format_coords(vec: tuple[int, ...], f: int, p: int) -> str:
-    if f == 1:
-        return ",".join(str(x) for x in vec)
     return ",".join(
         ":".join(str((x // p**i) % p) for i in range(f)) for x in vec
     )
@@ -395,6 +385,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return exc.code if exc.code is not None else 2
+    # with the int-to-str limit off (0) the command runs under the default
+    # limit, so that no decimal is built digit by digit past it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit or sys.int_info.default_max_str_digits)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -415,6 +409,8 @@ def main(argv: list[str] | None = None) -> int:
     except (KaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

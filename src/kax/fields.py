@@ -61,8 +61,6 @@ def _poly_divides(div: list[int], poly: list[int], p: int) -> bool:
 
 def find_modulus(p: int, f: int) -> list[int]:
     """Least monic irreducible of degree f over F_p, ascending coefficients."""
-    if f == 1:
-        return [0, 1]
     for code in range(p**f):
         tail = [(code // p**i) % p for i in range(f)]
         poly = tail + [1]

@@ -1,34 +1,40 @@
 """Exact integer number theory used by the counting and indexing layers.
 
-The orders of the truncated and big Witt groups over F_{p^f} live here
-too: they are prime-power arithmetic, with no Witt vectors in them.
-Everything here is arbitrary-precision; no floating point is used anywhere
-in this package.
+Primality, prime-power factoring and the Mobius function read least prime
+factors from one trial-division scan, bounded by MAX_TRIAL_DIVISOR.  The
+orders of the truncated and big Witt groups over F_{p^f} live here too:
+they are prime-power arithmetic, with no Witt vectors in them.  All of it
+is arbitrary-precision; no floating point is used anywhere in this package.
 """
 
-from math import isqrt
+from .errors import BudgetExceededError, InternalError
 
-from .errors import InternalError
+# the scan makes at most MAX_TRIAL_DIVISOR // 2 divisions (0.5-1 s on a
+# 2-core x86-64 VM), so it settles every n below (MAX_TRIAL_DIVISOR + 1)**2
+MAX_TRIAL_DIVISOR = 10**7
+
+
+def _least_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division by 2, then by odd
+    f with f * f <= n; an f past MAX_TRIAL_DIVISOR raises BudgetExceededError."""
+    if n % 2 == 0:
+        return 2
+    # no isqrt and no range: the small p that every layer checks stay cheap
+    f = 3
+    while f * f <= n:
+        if f > MAX_TRIAL_DIVISOR:
+            raise BudgetExceededError(
+                f"{n} has no prime factor up to {MAX_TRIAL_DIVISOR}, where trial division stops")
+        if n % f == 0:
+            return f
+        f += 2
+    return n
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test.
-
-    Inputs are small user-supplied primes, so trial division up to sqrt(n)
-    is both simple and fast enough.
-    """
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f <= isqrt(n):
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic primality test: n >= 2 is its own least factor, so an
+    n that the scan leaves open raises BudgetExceededError."""
+    return n >= 2 and _least_factor(n) == n
 
 
 def require_prime(p: int) -> None:
@@ -41,15 +47,11 @@ def mobius(n: int) -> int:
     if n < 1:
         raise ValueError("mobius requires n >= 1")
     result = 1
-    f = 2
-    while f * f <= n:
+    while n > 1:
+        f = _least_factor(n)
+        n //= f
         if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            result = -result
-        f += 1
-    if n > 1:
+            return 0
         result = -result
     return result
 
@@ -86,16 +88,14 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Write q = p^f with p prime, or raise ValueError."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, isqrt(q) + 1):
-        if q % p == 0:
-            f = 0
-            while q % p == 0:
-                q //= p
-                f += 1
-            if q != 1:
-                raise ValueError("not a prime power")
-            return p, f
-    return q, 1
+    p = _least_factor(q)
+    f = 0
+    while q % p == 0:
+        q //= p
+        f += 1
+    if q != 1:
+        raise ValueError("not a prime power")
+    return p, f
 
 
 def order_Wn(p: int, f: int, n: int) -> int:

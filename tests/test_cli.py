@@ -470,6 +470,30 @@ def test_text_order_with_the_str_limit_off_is_bounded(capsys):
     assert c == 1 and capsys.readouterr().out.endswith(f" (order 3^{n})\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["count-words", "--s", "3000000", "--d", "2"],
+    ["compute", "--p", "2", "--d", str(10**4000), "--ring", "Fq:2", "--degree", "200",
+     "--format", "json"],
+])
+def test_every_decimal_with_the_str_limit_off_is_bounded(capsys, argv):
+    # a limit of 0 runs the command under the default limit, and the
+    # caller's 0 is back when main returns
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        t0 = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - t0
+        after = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, after) == (3, 0)
+    assert elapsed < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: budget exceeded: ")
+
+
 def test_order_bound_only_refuses_what_str_refuses(capsys):
     from kax.cli import _bits_surely_too_long
 
@@ -510,6 +534,29 @@ def test_count_words_refuses_hopeless_divisor_scans_and_fills():
     # within the budget the count still comes out
     proc = run_cli("count-words", "--s", "1000003", "--d", "1", timeout=1)
     assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
+BIG_PRIME = "1000000000000000003"
+
+
+@pytest.mark.parametrize("argv", [
+    f"compute --p {BIG_PRIME} --d 1 --ring Fq:{BIG_PRIME} --degree 1",
+    f"compute --p {BIG_PRIME} --ring perfect:k:{BIG_PRIME} --degree 1",
+    f"witt v --p {BIG_PRIME} --n 2 1,2",
+])
+def test_a_prime_past_the_trial_division_ceiling_is_refused(argv):
+    # a prime whose square root, 10^9, is past MAX_TRIAL_DIVISOR
+    proc = run_cli(*argv.split(), timeout=5)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: budget exceeded:")
+
+
+def test_a_twelve_digit_prime_answers():
+    q = "1000000000039"
+    proc = run_cli("compute", "--p", q, "--d", "1", "--ring", f"Fq:{q}", "--degree", "1",
+                   timeout=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"F_{q} (order {q})\n"
 
 
 def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):

@@ -1,9 +1,13 @@
 import random
+import time
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kax import numtheory
+from kax.errors import BudgetExceededError
 from kax.numtheory import (
     divisors,
     factor_prime_power,
@@ -79,3 +83,64 @@ def test_factor_prime_power():
         factor_prime_power(12)
     with pytest.raises(ValueError):
         factor_prime_power(1)
+
+
+def _sieve_factorizations(limit: int) -> list[dict[int, int]]:
+    # the prime factorization of every n <= limit, from a least-factor sieve
+    least = list(range(limit + 1))
+    for i in range(2, isqrt(limit) + 1):
+        if least[i] == i:
+            for j in range(i * i, limit + 1, i):
+                least[j] = min(least[j], i)
+    out = [{}, {}]
+    for n in range(2, limit + 1):
+        rest = dict(out[n // least[n]])
+        rest[least[n]] = rest.get(least[n], 0) + 1
+        out.append(rest)
+    return out
+
+
+def test_scan_matches_a_sieve():
+    for n, fac in enumerate(_sieve_factorizations(20_000)):
+        assert is_prime(n) == (list(fac.values()) == [1]), n
+        if len(fac) == 1:
+            assert factor_prime_power(n) == next(iter(fac.items())), n
+        else:
+            message = f"{n} is not a prime power" if n < 2 else "not a prime power"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                factor_prime_power(n)
+        if n >= 1:
+            squarefree = all(e == 1 for e in fac.values())
+            assert mobius(n) == ((-1) ** len(fac) if squarefree else 0), n
+    for n in (-2, -1):
+        assert not is_prime(n)
+        with pytest.raises(ValueError, match=f"^{n} is not a prime power$"):
+            factor_prime_power(n)
+
+
+def test_scan_settles_a_small_least_factor_at_once():
+    assert factor_prime_power(2**200) == (2, 200)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="^not a prime power$"):
+        factor_prime_power(3 * (10**18 + 3))
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_scan_past_its_ceiling_is_a_budget_error():
+    # 10**18 + 3 is prime and its square root is past MAX_TRIAL_DIVISOR
+    with pytest.raises(BudgetExceededError, match="no prime factor up to"):
+        is_prime(10**18 + 3)
+    with pytest.raises(BudgetExceededError, match="no prime factor up to"):
+        factor_prime_power(10**18 + 3)
+
+
+def test_scan_ceiling_edge(monkeypatch):
+    monkeypatch.setattr(numtheory, "MAX_TRIAL_DIVISOR", 10)
+    # isqrt(n) <= 10 settles n < 121; past it a factor up to 10 still does
+    assert is_prime(113) and not is_prime(119) and mobius(120) == 0
+    assert factor_prime_power(2**10) == (2, 10) and not is_prime(3 * 127)
+    for n in (121, 127, 11 * 13):
+        with pytest.raises(BudgetExceededError):
+            is_prime(n)
+        with pytest.raises(BudgetExceededError):
+            mobius(n)
