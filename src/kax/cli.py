@@ -8,26 +8,30 @@ Subcommands: compute, table, count-words, witt, verify.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import suppress
 from math import isqrt
 
-from . import kcalc, words
-from .errors import BudgetExceededError, InternalError, KaxError, digit_limit_error
-from .kcalc import (
-    GroupExpr,
-    GroupFactor,
-    RingSpec,
-    group_expr_to_dict,
-    order_exponent,
-    parse_ring_spec,
+from .errors import (
+    BudgetExceededError,
+    InternalError,
+    KaxError,
+    digit_limit_error,
+    factor_digit_limit_error,
 )
 from .numtheory import require_prime
 
-# cmd_witt and cmd_verify import witt and oracles themselves, so that
-# compute, table and count-words start without the Witt and field layers
+# Each command imports the layers it runs, and json loads only for the JSON
+# format: kcalc (with words) for compute and table, words for count-words,
+# witt for witt, oracles for verify.  So a request compiles and loads no
+# layer it does not use.  The annotations name types that only a type
+# checker reads, so only it imports them.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable
+
+    from .kcalc import GroupExpr, GroupFactor, RingSpec
 
 MAX_DEGREE = 200
 
@@ -38,6 +42,26 @@ MAX_DEGREE = 200
 # The renderers format integers with str(), whose only ValueError is an
 # integer past the interpreter's int-to-str limit: a budget error, as in the
 # JSON wire entries, not a usage error.
+#
+# The rows of one table share their factors and wire entries as objects, so
+# cmd_table passes every row one memo, and each shared object is rendered
+# once per table: memo maps its id to the object (which keeps the id from
+# being reused) and its rendering.  A memo serves the rows of one table,
+# which share one completeness.
+
+
+def _each(make: Callable, items: Iterable, memo: dict | None) -> list:
+    """[make(x) for x in items], each object made once over the calls that
+    share memo."""
+    if memo is None:
+        return [make(x) for x in items]
+    out = []
+    for x in items:
+        hit = memo.get(id(x))
+        if hit is None:
+            hit = memo[id(x)] = (x, make(x))
+        out.append(hit[1])
+    return out
 
 
 def _render_factor_text(gf: GroupFactor, expr: GroupExpr) -> str:
@@ -62,7 +86,7 @@ def _render_factor_text(gf: GroupFactor, expr: GroupExpr) -> str:
             return f"{base}^{gf.multiplicity}"
         return base
     except ValueError as exc:
-        raise kcalc.factor_digit_limit_error(gf.kind, gf.m_prime, gf.s) from exc
+        raise factor_digit_limit_error(gf.kind, gf.m_prime, gf.s) from exc
 
 
 def _bits_surely_too_long(bits: int) -> bool:
@@ -75,13 +99,19 @@ def _bits_surely_too_long(bits: int) -> bool:
     return limit != 0 and bits * 3 // 10 + 1 > limit
 
 
-def render_text(expr: GroupExpr) -> str:
+def render_text(expr: GroupExpr, memo: dict | None = None) -> str:
     """The factors and the order: its decimal wherever that fits the
     int-to-str limit, past it p^N or p^N * c from order_exponent."""
     if expr.is_trivial:
         return "0"
-    body = " x ".join(_render_factor_text(gf, expr) for gf in expr.factors)
-    o = order_exponent(expr)
+    from .kcalc import factor_order_exponent, order_exponent
+
+    def make(gf):
+        return _render_factor_text(gf, expr), factor_order_exponent(gf)
+
+    pieces = _each(make, expr.factors, memo)
+    body = " x ".join([text for text, _ in pieces])
+    o = order_exponent(expr, [part for _, part in pieces])
     if isinstance(o, str):
         return f"{body} ({o} order)" if o == "symbolic" else f"{body} (infinite)"
     n, c = o
@@ -118,21 +148,35 @@ def _render_factor_latex(gf: GroupFactor) -> str:
             mult = gf.multiplicity
         return base if mult == 1 else rf"{base}^{{{mult}}}"
     except ValueError as exc:
-        raise kcalc.factor_digit_limit_error(gf.kind, gf.m_prime, gf.s) from exc
+        raise factor_digit_limit_error(gf.kind, gf.m_prime, gf.s) from exc
 
 
-def render_latex(expr: GroupExpr) -> str:
+def render_latex(expr: GroupExpr, memo: dict | None = None) -> str:
     if expr.is_trivial:
         return "0"
-    return r" \times ".join(_render_factor_latex(gf) for gf in expr.factors)
+    return r" \times ".join(_each(_render_factor_latex, expr.factors, memo))
 
 
-def render(expr: GroupExpr, fmt: str) -> str:
+def _render_json(expr: GroupExpr, memo: dict | None) -> str:
+    """json.dumps(group_expr_to_dict(expr)), each wire entry encoded by itself."""
+    import json
+
+    from .kcalc import group_expr_to_dict
+
+    wire = group_expr_to_dict(expr)
+    entries = _each(json.dumps, wire["factors"], memo)
+    # the factor list is the last field of the wire form: "factors": []}
+    wire["factors"] = []
+    return f"{json.dumps(wire)[:-2]}{', '.join(entries)}]}}"
+
+
+def render(expr: GroupExpr, fmt: str, memo: dict | None = None) -> str:
+    """expr as text, json or latex; memo, if given, is shared by its table."""
     if fmt == "json":
-        return json.dumps(group_expr_to_dict(expr))
+        return _render_json(expr, memo)
     if fmt == "latex":
-        return render_latex(expr)
-    return render_text(expr)
+        return render_latex(expr, memo)
+    return render_text(expr, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +198,13 @@ def _add_common_compute_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_ring(args) -> RingSpec:
+    from .kcalc import parse_ring_spec
+
+    # parsing proved ring.p prime, so --p needs its own proof only when it
+    # differs, and fails with its own message when it is not prime
     ring = parse_ring_spec(args.ring)
-    require_prime(args.p)
     if ring.p != args.p:
+        require_prime(args.p)
         raise KaxError(f"ring {args.ring} has p={ring.p}, but --p {args.p} given")
     if args.integral and ring.kind != "finite_field":
         raise KaxError("--integral requires a finite field ring (Fq:<q>)")
@@ -171,6 +219,8 @@ def _check_degree(degree: int) -> None:
 
 
 def _compute_one(ring: RingSpec, args, degree: int) -> GroupExpr:
+    from . import kcalc
+
     if args.integral:
         return kcalc.integral_k_finite_field(
             ring.q, args.d, degree, args.quillen_exponent
@@ -183,13 +233,15 @@ def _compute_one(ring: RingSpec, args, degree: int) -> GroupExpr:
 
 
 def _dual_report_lines(ring: RingSpec, expr: GroupExpr) -> list[str]:
+    from .kcalc import dual_numbers_big_witt_order
+
     degree = expr.degree
     lines = []
     if ring.p != 2 and degree % 2 == 1:
         # at odd degree and p odd the factors with s = 1 are one per m',
         # each of length t_od
         lines = [f"h({gf.m_prime}) = {gf.length}" for gf in expr.factors if gf.s == 1]
-    bw = kcalc.dual_numbers_big_witt_order(ring, degree)
+    bw = dual_numbers_big_witt_order(ring, degree)
     if bw is not None:
         i = (degree + 1) // 2
         lines.append(f"big Witt check: |W_{2 * i}|/|W_{i}| = {bw}")
@@ -208,16 +260,22 @@ def cmd_compute(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .kcalc import table
+
     ring = _resolve_ring(args)
     _check_degree(args.max_degree)
     variant = "integral" if args.integral else args.variant
-    exprs = kcalc.table(ring, args.d, args.max_degree, variant, args.quillen_exponent)
+    exprs = table(ring, args.d, args.max_degree, variant, args.quillen_exponent)
+    # render every row first, so a row that fails leaves no partial table;
+    # print writes the rows one by one, with no second copy of the table
+    memo: dict = {}
     if args.format == "json":
-        print(json.dumps([group_expr_to_dict(e) for e in exprs]))
+        rows = [render(e, "json", memo) for e in exprs]
+        print("[", end="")
+        print(*rows, sep=", ", end="]\n")
     else:
-        # render every row first, so a row that fails leaves no partial table
-        lines = [f"degree {e.degree}: {render(e, args.format)}" for e in exprs]
-        print("\n".join(lines))
+        lines = [f"degree {e.degree}: {render(e, args.format, memo)}" for e in exprs]
+        print(*lines, sep="\n")
     return 0
 
 
@@ -237,6 +295,8 @@ def _count_surely_too_long(s: int, base: int) -> bool:
 
 
 def cmd_count_words(args) -> int:
+    from . import words
+
     what = f"the count of words of length {args.s} on {args.d} letters"
     if _count_surely_too_long(args.s, args.d - 1 if args.axes else args.d):
         raise digit_limit_error(what)
@@ -260,6 +320,8 @@ def cmd_count_words(args) -> int:
         enum = words.enumerate_axes if args.axes else words.enumerate_aperiodic
         record["words"] = [words.render_word(w.canonical, args.d) for w in enum(args.s, args.d)]
     if args.format == "json":
+        import json
+
         print(json.dumps(record))
     else:
         print(count_text)
@@ -321,6 +383,8 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         raise KaxError(f"unknown suite {exc.args[0]!r}") from exc
     if args.format == "json":
+        import json
+
         print(json.dumps([e.to_dict() for e in report]))
     else:
         for e in report:
@@ -379,17 +443,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors already
-        return exc.code if exc.code is not None else 2
-    # with the int-to-str limit off (0) the command runs under the default
-    # limit, so that no decimal is built digit by digit past it
+    # with the int-to-str limit off (0) parsing and the command run under the
+    # default limit, so that no decimal is read or built digit by digit past it
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit or sys.int_info.default_max_str_digits)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse uses exit code 2 for usage errors already
+            return exc.code if exc.code is not None else 2
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -30,3 +30,9 @@ def digit_limit_error(what: str) -> BudgetExceededError:
         f"{what} has more than {sys.get_int_max_str_digits()} decimal digits,"
         " the interpreter's int-to-str limit"
     )
+
+
+def factor_digit_limit_error(kind: str, m_prime: int | None, s: int | None) -> BudgetExceededError:
+    """The budget error for an integer of a factor too long to print."""
+    where = f" at m'={m_prime}, s={s}" if m_prime is not None else ""
+    return digit_limit_error(f"an integer of the {kind} factor{where}")

@@ -46,10 +46,10 @@ limit is a budget error.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 
-from .errors import BudgetExceededError, KaxError, digit_limit_error
+from .errors import KaxError, factor_digit_limit_error
 from .numtheory import big_witt_order, divisors, factor_prime_power, require_prime
 from .tbounds import window
 from .words import count_aperiodic, count_axes
@@ -100,9 +100,13 @@ class RingSpec(namedtuple("RingSpec", "kind p f name")):
         return RingSpec("finite_field", p, f)
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def from_q(q: int) -> "RingSpec":
+        # the least factor of q is prime, so the scan that finds it is the
+        # one proof, and a request that reads its q again (the integral
+        # variant twice) finds it here
         p, f = factor_prime_power(q)
-        return RingSpec("finite_field", p, f)
+        return tuple.__new__(RingSpec, ("finite_field", p, f, ""))
 
 
 def parse_ring_spec(text: str) -> RingSpec:
@@ -163,23 +167,36 @@ class GroupExpr(namedtuple("GroupExpr", "degree p completeness factors", default
         return not self.factors
 
 
-def order_exponent(expr: GroupExpr) -> tuple[int, int] | str:
-    """(N, c) with order(expr) == p**N * c, or "infinite" / "symbolic".
+def factor_order_exponent(gf: GroupFactor) -> tuple[int, int] | str:
+    """(N, c) with order(gf) == p**N * c, p its expression's, or "infinite" /
+    "symbolic".
 
-    A copy of W_k(F_{p^f}) has order p^(f k), so a witt factor adds f *
-    length * multiplicity to N and builds no power; the cyclic factors
-    multiply c.  The witt rings have the expression's p, as assembled.
+    A copy of W_k(F_{p^f}) has order p^(f k), so a witt factor has N = f *
+    length * multiplicity and builds no power; a cyclic one has N = 0.  The
+    witt rings have the expression's p, as assembled.
+    """
+    if gf.kind == "free":
+        return "infinite" if (gf.rank or 0) > 0 else "symbolic"
+    if gf.kind == "cyclic":
+        return 0, gf.order**gf.multiplicity
+    if gf.ring.is_symbolic:
+        return "symbolic"
+    return gf.ring.f * gf.length * gf.multiplicity, 1
+
+
+def order_exponent(expr: GroupExpr, parts: Iterable | None = None) -> tuple[int, int] | str:
+    """(N, c) with order(expr) == p**N * c, or "infinite" / "symbolic": the
+    first factor that is not finite decides.
+
+    Summed from factor_order_exponent of each factor, or from parts, those
+    of expr's factors in order, for a caller that has them already.
     """
     n, c = 0, 1
-    for gf in expr.factors:
-        if gf.kind == "free":
-            return "infinite" if (gf.rank or 0) > 0 else "symbolic"
-        if gf.kind == "cyclic":
-            c *= gf.order**gf.multiplicity
-        elif gf.ring.is_symbolic:
-            return "symbolic"
-        else:
-            n += gf.ring.f * gf.length * gf.multiplicity
+    for o in map(factor_order_exponent, expr.factors) if parts is None else parts:
+        if isinstance(o, str):
+            return o
+        n += o[0]
+        c *= o[1]
     return n, c
 
 
@@ -407,14 +424,6 @@ def _ring_to_str(ring: RingSpec) -> str:
     if ring.kind == "perfectoid":
         return f"perfectoid:{ring.name}:{ring.p}"
     return f"zpcycl:{ring.p}"
-
-
-def factor_digit_limit_error(
-    kind: str, m_prime: int | None, s: int | None
-) -> BudgetExceededError:
-    """The budget error for an integer of a factor too long to print."""
-    where = f" at m'={m_prime}, s={s}" if m_prime is not None else ""
-    return digit_limit_error(f"an integer of the {kind} factor{where}")
 
 
 def _wire_entry(gf: GroupFactor, ring_text: str | None) -> dict:

@@ -9,7 +9,6 @@ formula under test for their own answer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product, repeat
 
@@ -21,12 +20,24 @@ from .witt import ghost, iso_with_zpn, witt_polys, witt_ring
 from .words import count_aperiodic, count_axes, count_by_enumeration
 
 
-@dataclass
 class ReportEntry:
-    check: str
-    params: dict
-    status: str  # "pass" | "fail" | "skipped"
-    witness: str | None = None
+    """One verdict of a check on its params: status "pass", "fail" or
+    "skipped", and on a failure the witness."""
+
+    def __init__(self, check: str, params: dict, status: str, witness: str | None = None):
+        self.check = check
+        self.params = params
+        self.status = status
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
     def to_dict(self) -> dict:
         out = {"check": self.check, "params": self.params, "status": self.status}

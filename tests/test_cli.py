@@ -10,9 +10,9 @@ import time
 
 import pytest
 
-from kax.cli import main, render_text
+from kax.cli import build_parser, cmd_table, main, render, render_text
 from kax.errors import BudgetExceededError, InternalError
-from kax.kcalc import GroupExpr, GroupFactor, RingSpec
+from kax.kcalc import GroupExpr, GroupFactor, RingSpec, group_expr_to_dict, parse_ring_spec, table
 from kax.tbounds import t_od
 from kax.words import DEFAULT_BUDGET, count_aperiodic, count_axes, enumerate_aperiodic, parse_word
 
@@ -164,6 +164,65 @@ def test_table_failing_row_prints_nothing(capsys, monkeypatch, fmt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "row 2 cannot be rendered" in captured.err
+
+
+# every (ring, variant, d) cell of a table: the rings and variants the
+# benchmark draws, at d = 1..6, the dual numbers at d = 1 only
+TABLE_CELLS = [
+    (ring, variant, d)
+    for ring in ("Fq:2", "Fq:3", "Fq:4", "Fq:5", "Fq:8", "Fq:9", "Fq:25", "perfectoid:R:3",
+                 "zpcycl:5")
+    for variant in ("square", "axes", "dual", "integral")
+    if variant != "integral" or ring.startswith("Fq:")
+    for d in ((1,) if variant == "dual" else range(1, 7))
+]
+
+# sha256 of the stdouts of `kax table ... --max-degree 200` over every
+# TABLE_CELLS cell in turn, as the per-row reference gives them
+TABLE_CELLS_AT_200 = {
+    "json": "e16ff7feef3285f65b5739605b1f453e9655538a35d5892e4d0d2cda41a2fcbf",
+    "text": "f401eaae5fb20e5c75d5a790459968f28606a4d8e9bec446edde047f79f9a621",
+    "latex": "eb5221131b3642f37488450dc6d75033952ab29936b2a862b4166d725e8a8875",
+}
+
+
+@pytest.mark.parametrize("fmt", TABLE_CELLS_AT_200)
+def test_table_renders_every_cell_as_its_rows_do(capsys, fmt):
+    # cmd_table renders each factor and wire entry its rows share once per
+    # table: its stdout must be the rows rendered one by one, by render or,
+    # in JSON, by json.dumps of their wire dicts.  At max degree 200 that
+    # reference takes about 25 s to build, so its digest is pinned.
+    at_200 = hashlib.sha256()
+    for ring, variant, d in TABLE_CELLS:
+        flags = ["--integral"] if variant == "integral" else ["--variant", variant]
+        args = build_parser().parse_args(
+            ["table", "--p", str(parse_ring_spec(ring).p), "--d", str(d), "--ring", ring,
+             *flags, "--max-degree", "0", "--format", fmt])
+        for level in (0, 5, 40, 200):
+            args.max_degree = level
+            assert cmd_table(args) == 0
+            out = capsys.readouterr().out
+            if level == 200:
+                at_200.update(out.encode())
+                continue
+            exprs = table(parse_ring_spec(ring), d, level, variant)
+            if fmt == "json":
+                want = json.dumps([group_expr_to_dict(e) for e in exprs])
+            else:
+                want = "\n".join(f"degree {e.degree}: {render(e, fmt)}" for e in exprs)
+            assert out == want + "\n", (ring, variant, d, level)
+    assert at_200.hexdigest() == TABLE_CELLS_AT_200[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+def test_table_past_the_str_limit_is_a_budget_error_with_no_rows(capsys, fmt):
+    # the multiplicities pass the int-to-str limit from about degree 73 on,
+    # after the rows before it rendered their shared factors
+    assert main(["table", "--p", "2", "--d", str(10**60), "--ring", "Fq:2",
+                 "--max-degree", "200", "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: budget exceeded: an integer of the witt factor")
 
 
 def test_count_words(capsys):
@@ -494,6 +553,21 @@ def test_every_decimal_with_the_str_limit_off_is_bounded(capsys, argv):
     assert captured.err.startswith("error: budget exceeded: ")
 
 
+def test_an_option_past_the_str_limit_is_a_usage_error_with_the_limit_off(capsys):
+    # parsing runs under the default limit too, so argparse refuses the
+    # 5001-digit integer itself, before a message could name it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code = main(["compute", "--p", "3", "--d", "1", "--ring", "Fq:3", "--degree", "9" * 5001])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "argument --degree: invalid int value" in captured.err
+    assert "Exceeds the limit" not in captured.err
+
+
 def test_order_bound_only_refuses_what_str_refuses(capsys):
     from kax.cli import _bits_surely_too_long
 
@@ -559,13 +633,41 @@ def test_a_twelve_digit_prime_answers():
     assert proc.stdout == f"F_{q} (order {q})\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "compute --p {q} --d 1 --ring Fq:{q} --degree 1",
+    "compute --p {q} --d 1 --ring Fq:{q} --integral --degree 1",
+    "table --p {q} --d 2 --ring Fq:{q} --max-degree 3 --format json",
+    "compute --p {q} --ring perfect:k:{q} --degree 1 --format latex",
+])
+def test_a_request_proves_its_prime_once(capsys, monkeypatch, argv):
+    from kax import numtheory
+
+    q = 1000000000039
+    scanned = []
+    real = numtheory._least_factor
+
+    def counting(n):
+        scanned.append(n)
+        return real(n)
+
+    monkeypatch.setattr(numtheory, "_least_factor", counting)
+    RingSpec.from_q.cache_clear()
+    assert main(argv.format(q=q).split()) == 0
+    assert scanned.count(q) == 1
+    # a --p that differs is still proved, with the same message
+    assert main(["compute", "--p", "15", "--ring", f"Fq:{q}", "--degree", "1"]) == 2
+    assert main(["compute", "--p", "5", "--ring", f"Fq:{q}", "--degree", "1"]) == 2
+    assert capsys.readouterr().err.splitlines()[-2:] == [
+        "error: 15 is not prime", f"error: ring Fq:{q} has p={q}, but --p 5 given"]
+
+
 def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
-    import kax.cli
+    import kax.kcalc
 
     def broken(*args):
         raise InternalError("Mobius sum 7 not divisible by s=2")
 
-    monkeypatch.setattr(kax.cli.kcalc, "relative_k", broken)
+    monkeypatch.setattr(kax.kcalc, "relative_k", broken)
     assert main(["compute", "--p", "3", "--d", "2", "--ring", "Fq:3", "--degree", "4"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -676,16 +778,18 @@ def _run_main_in_fresh_interpreter(*argvs):
     loaded (those loaded before it, e.g. by site, do not count).
     """
     script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
         "from kax.cli import main\n"
         "codes = []\n"
-        "for argv in json.loads(sys.argv[1]):\n"
+        "for argv in sys.argv[1:]:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        codes.append(main(argv))\n"
-        "print(json.dumps([codes, sorted(set(sys.modules) - before)]))\n"
+        "        codes.append(main(argv.split()))\n"
+        "loaded = sorted(set(sys.modules) - before)\n"
+        "import json\n"
+        "print(json.dumps([codes, loaded]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", script, *map(" ".join, argvs)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -711,5 +815,19 @@ def test_witt_and_verify_import_their_layers_when_run(argv):
     codes, loaded = _run_main_in_fresh_interpreter(argv)
     assert codes == [0]
     assert "kax.witt" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
     if argv[0] == "witt":
-        assert "dataclasses" not in loaded
+        assert "kax.kcalc" not in loaded
+
+
+@pytest.mark.parametrize("argv, unused", [
+    ("witt v --p 2 --n 2 1,2", {"kax.kcalc", "kax.words", "json"}),
+    ("count-words --s 6 --d 2 --list", {"kax.kcalc", "json"}),
+    ("compute --p 3 --d 2 --ring Fq:9 --degree 5", {"json"}),
+    ("compute --p 3 --d 2 --ring Fq:9 --degree 5 --format latex", {"json"}),
+    ("table --p 3 --d 2 --ring Fq:9 --max-degree 9", {"json", "kax.witt"}),
+])
+def test_a_command_loads_no_layer_it_does_not_run(argv, unused):
+    codes, loaded = _run_main_in_fresh_interpreter(argv.split())
+    assert codes == [0]
+    assert not unused & set(loaded)
