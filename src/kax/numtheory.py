@@ -7,6 +7,8 @@ they are prime-power arithmetic, with no Witt vectors in them.  All of it
 is arbitrary-precision; no floating point is used anywhere in this package.
 """
 
+from functools import lru_cache
+
 from .errors import BudgetExceededError, InternalError
 
 # the scan makes at most MAX_TRIAL_DIVISOR // 2 divisions (0.5-1 s on a
@@ -31,9 +33,12 @@ def _least_factor(n: int) -> int:
     return n
 
 
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     """Deterministic primality test: n >= 2 is its own least factor, so an
-    n that the scan leaves open raises BudgetExceededError."""
+    n that the scan leaves open raises BudgetExceededError.  A verdict is
+    cached, so a process proves each p once however many layers check it;
+    an error is not, so an n past the scan raises at every call."""
     return n >= 2 and _least_factor(n) == n
 
 

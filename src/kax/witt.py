@@ -266,7 +266,8 @@ class WittRing:
                 hi >>= B
         return x
 
-    def _image(self, a: tuple[int, ...]) -> int:
+    def lift(self, a: tuple[int, ...]) -> int:
+        """The packed image of a vector, for the *_lifted ops."""
         if len(a) != self.n:
             raise ValueError(f"expected length-{self.n} vector, got {a}")
         # Horner's rule from the top level down: n multiply-adds by p
@@ -308,13 +309,25 @@ class WittRing:
         return tuple(out)
 
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return self._read(self._image(a) + self._image(b))
+        return self._read(self.lift(a) + self.lift(b))
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return self._read(self._fold(self._image(a) * self._image(b)))
+        return self._read(self._fold(self.lift(a) * self.lift(b)))
 
     def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return self._read(self._neg_base - self._image(a))
+        return self._read(self._neg_base - self.lift(a))
+
+    # the same ops on operands lift has made, for a caller that uses one
+    # vector in many ops; each still reads its result back to a tuple
+
+    def add_lifted(self, x: int, y: int) -> tuple[int, ...]:
+        return self._read(x + y)
+
+    def mul_lifted(self, x: int, y: int) -> tuple[int, ...]:
+        return self._read(self._fold(x * y))
+
+    def neg_lifted(self, x: int) -> tuple[int, ...]:
+        return self._read(self._neg_base - x)
 
 
 @lru_cache(maxsize=None)
@@ -342,24 +355,28 @@ def iso_with_zpn(p: int, n: int) -> dict[int, tuple[int, ...]]:
     """Oracle: k -> k*(1,0,...,0) is a ring isomorphism Z/p^n -> W_n(F_p).
 
     Returns the bijection table; raises InternalError if the map fails to
-    be bijective or multiplicative, which would mean WittRing's add or
-    mul is wrong.
+    be bijective or multiplicative, which would mean WittRing's arithmetic
+    is wrong.  It runs on the lifted ops: each table entry is lifted once,
+    as the table is built, and each product multiplies two of those lifts.
     """
     require_prime(p)
     pn = p**n
     if pn > ISO_BUDGET:
         raise BudgetExceededError(f"p^n = {pn} exceeds budget {ISO_BUDGET}")
     ring = witt_ring(p, n, 1)
+    lift_one = ring.lift(ring.one)
     table: dict[int, tuple[int, ...]] = {0: ring.zero}
+    lifts = [ring.lift(ring.zero)]
     for k in range(1, pn):
-        table[k] = ring.add(table[k - 1], ring.one)
+        table[k] = ring.add_lifted(lifts[-1], lift_one)
+        lifts.append(ring.lift(table[k]))
     if len(set(table.values())) != pn:
         raise InternalError(f"Z/{pn} -> W_{n}(F_{p}) is not injective")
-    if ring.add(table[pn - 1], ring.one) != ring.zero:
+    if ring.add_lifted(lifts[-1], lift_one) != ring.zero:
         raise InternalError(f"additive order of 1 in W_{n}(F_{p}) is not {pn}")
     for a in range(pn):
         for b in range(a, pn):
-            if ring.mul(table[a], table[b]) != table[a * b % pn]:
+            if ring.mul_lifted(lifts[a], lifts[b]) != table[a * b % pn]:
                 raise InternalError(
                     f"multiplicativity fails at ({a}, {b}) for W_{n}(F_{p})"
                 )

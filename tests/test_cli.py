@@ -652,6 +652,7 @@ def test_a_request_proves_its_prime_once(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(numtheory, "_least_factor", counting)
     RingSpec.from_q.cache_clear()
+    numtheory.is_prime.cache_clear()
     assert main(argv.format(q=q).split()) == 0
     assert scanned.count(q) == 1
     # a --p that differs is still proved, with the same message
@@ -659,6 +660,36 @@ def test_a_request_proves_its_prime_once(capsys, monkeypatch, argv):
     assert main(["compute", "--p", "5", "--ring", f"Fq:{q}", "--degree", "1"]) == 2
     assert capsys.readouterr().err.splitlines()[-2:] == [
         "error: 15 is not prime", f"error: ring Fq:{q} has p={q}, but --p 5 given"]
+
+
+@pytest.mark.parametrize("argv, code, stream, text, scans", [
+    # factor_prime_power's scan for the ring, then one is_prime for the four
+    # primality checks of the dual-numbers order line
+    ("compute --p {q} --d 1 --ring Fq:{q} --variant dual --degree 1", 0, "out",
+     "F_{q} (order {q})\nh(1) = 1\nbig Witt check: |W_2|/|W_1| = {q}\n", 2),
+    # cmd_witt, WittRing and GaloisField each prove p; one scan serves them
+    ("witt add --p {q} --n 1 1 2", 2, "err",
+     "error: field order {q} exceeds supported size\n", 1),
+])
+def test_a_prime_proved_once_is_not_scanned_again(capsys, monkeypatch, argv, code, stream,
+                                                  text, scans):
+    from kax import numtheory
+
+    q = 1000000000039
+    scanned = []
+    real = numtheory._least_factor
+
+    def counting(n):
+        if n > 10**6:
+            scanned.append(n)
+        return real(n)
+
+    monkeypatch.setattr(numtheory, "_least_factor", counting)
+    RingSpec.from_q.cache_clear()
+    numtheory.is_prime.cache_clear()
+    assert main(argv.format(q=q).split()) == code
+    assert getattr(capsys.readouterr(), stream) == text.format(q=q)
+    assert scanned == [q] * scans
 
 
 def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):

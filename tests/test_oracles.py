@@ -182,6 +182,44 @@ def test_check_witt_fails_a_mul_wrong_on_one_seeded_pair(monkeypatch):
     assert all(e.status == "pass" for e in entries.values())
 
 
+def test_check_witt_fails_a_lifted_mul_wrong_on_one_seeded_pair(monkeypatch):
+    # the axioms run on the lifted twins: make mul_lifted wrong on the first
+    # pair it sees at W_2(F_9), which is (b, a) of the first seeded triple,
+    # so the commutativity check of that cell alone fails
+    real_mul, real_mul_lifted = WittRing.mul, WittRing.mul_lifted
+    public, lifted = [], []
+
+    def recording_mul(self, a, b):
+        if (self.p, self.n, self.field.f) == (3, 2, 2):
+            public.append((a, b))
+        return real_mul(self, a, b)
+
+    def recording_mul_lifted(self, x, y):
+        if (self.p, self.n, self.field.f) == (3, 2, 2):
+            lifted.append((x, y))
+        return real_mul_lifted(self, x, y)
+
+    monkeypatch.setattr(WittRing, "mul", recording_mul)
+    monkeypatch.setattr(WittRing, "mul_lifted", recording_mul_lifted)
+    assert all_passed(check_witt(p_set=(3,), n_max=2, triples=10))
+    a, b = public[0]
+    target = lifted[0]
+
+    def planted_mul_lifted(self, x, y):
+        out = real_mul_lifted(self, x, y)
+        if (self.p, self.n, self.field.f) == (3, 2, 2) and (x, y) == target:
+            return self.add(out, self.one)
+        return out
+
+    monkeypatch.setattr(WittRing, "mul", real_mul)
+    monkeypatch.setattr(WittRing, "mul_lifted", planted_mul_lifted)
+    entries = _witt_entries(check_witt(p_set=(3,), n_max=2, triples=10))
+    failed = entries.pop(("witt-ring-axioms", (3, 2, 2)))
+    assert failed.status == "fail"
+    assert failed.witness == f"a*b != b*a at {a}, {b}"
+    assert all(e.status == "pass" for e in entries.values())
+
+
 @pytest.fixture
 def fresh_oracle_caches():
     # the oracles memoise what they derive from witt_polys; clear it on both

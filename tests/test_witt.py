@@ -5,7 +5,7 @@ import pytest
 from test_witt_golden import CEILING, GRID
 
 from kax import witt
-from kax.errors import BudgetExceededError
+from kax.errors import BudgetExceededError, InternalError
 from kax.fields import _poly_mod, _poly_mul, galois_field
 from kax.numtheory import big_witt_order, order_Wn
 from kax.oracles import _poly_witt_ops
@@ -87,7 +87,7 @@ def test_mismatched_vectors_rejected():
         r.add((1, 5), (1, 0))
 
 
-@pytest.mark.parametrize("op", ["add", "mul", "neg"])
+@pytest.mark.parametrize("op", ["add", "mul", "neg", "lift"])
 def test_coordinates_outside_the_field_rejected(op):
     # the lift is a table lookup, so without the range check -1 would
     # silently read the last element and q would raise IndexError
@@ -95,7 +95,7 @@ def test_coordinates_outside_the_field_rejected(op):
     for bad in (-1, r.field.q):
         vec = (0, bad)
         with pytest.raises(ValueError, match="out of field range"):
-            getattr(r, op)(*((vec,) if op == "neg" else (r.one, vec)))
+            getattr(r, op)(*((r.one, vec) if op in ("add", "mul") else (vec,)))
 
 
 def test_verschiebung():
@@ -263,6 +263,47 @@ def test_readback_needs_no_slot_reduced_mod_pn(p, n, f):
                                         for _ in range(30 if n < 100 else 10)]
     for slots in cases:
         assert ring._read(pack(slots)) == ring._read(pack([s % pn for s in slots])), slots
+
+
+# the cells check_witt runs the ring axioms on, which it checks on the lifted
+# ops: these tests check lift and readback apart from them
+CHECK_WITT_CELLS = [(p, n, f) for p in (2, 3, 5) for n in (1, 2, 3) for f in (1, 2)]
+
+
+@pytest.mark.parametrize("p, n, f", CHECK_WITT_CELLS)
+def test_lift_reads_back_every_vector(p, n, f):
+    ring = witt_ring(p, n, f)
+    for a in product(range(ring.field.q), repeat=n):
+        assert ring._read(ring.lift(a)) == a
+
+
+@pytest.mark.parametrize("p, n, f", CHECK_WITT_CELLS)
+def test_lifted_ops_equal_the_tuple_ops(p, n, f):
+    ring = witt_ring(p, n, f)
+    rng = random.Random(f"lifted {p},{n},{f}")
+    for _ in range(40):
+        a, b = (tuple(rng.randrange(ring.field.q) for _ in range(n)) for _ in range(2))
+        x, y = ring.lift(a), ring.lift(b)
+        assert ring.add_lifted(x, y) == ring.add(a, b)
+        assert ring.mul_lifted(x, y) == ring.mul(a, b)
+        assert ring.neg_lifted(x) == ring.neg(a)
+
+
+def test_iso_with_zpn_reports_a_wrong_lifted_product(monkeypatch):
+    # a product wrong on the lifts of 2 and 4 in W_2(F_3) fails the oracle at
+    # that pair, with the same text as a wrong tuple mul would
+    ring = witt_ring(3, 2, 1)
+    table = iso_with_zpn(3, 2)
+    target = (ring.lift(table[2]), ring.lift(table[4]))
+    real = WittRing.mul_lifted
+
+    def planted(self, x, y):
+        out = real(self, x, y)
+        return self.add(out, self.one) if self is ring and (x, y) == target else out
+
+    monkeypatch.setattr(WittRing, "mul_lifted", planted)
+    with pytest.raises(InternalError, match=r"^multiplicativity fails at \(2, 4\) for W_2\(F_3\)$"):
+        iso_with_zpn(3, 2)
 
 
 def test_ring_past_the_ceiling_is_a_budget_error():
