@@ -20,15 +20,17 @@ m' that have the parity of the degree and, for p odd, are coprime to p.
 
 A row is its (m', t) runs, m' ascending, which is t descending, then s
 ascending: the canonical order.  One run builder makes a run's factors
-from its memoised shape, and two row builders share it.  A single degree
-lists its m' and reads each window with tbounds.window: the definition.
-table() steps one running row per parity from the empty row.  A factor
-depends on the degree only through the window t, and m' has window t at
-degree n exactly when n // p^t < m' <= n // p^(t-1); so from n - 2 to n
-only m' = n // p^t moves, from window t to t + 1, for each t whose bound
-moved (m' = n from window 0 to 1), and each row is one copy of the
-running row.  The rows of one table() share their factors, which are
-read-only named tuples.  Length-0 Witt factors are pruned throughout.
+from its memoised shape, reading each s's word count once per call, and
+one loop makes the rows.  A single degree lists its m' and reads each
+window with tbounds.window: the definition.  A table steps one running
+row per parity from the empty row.  A factor depends on the degree only
+through the window t, and m' has window t at degree n exactly when
+n // p^t < m' <= n // p^(t-1); so from n - 2 to n only m' = n // p^t
+moves, from window t to t + 1, for each t whose bound moved (m' = n from
+window 0 to 1).  These steps depend on (p, n) alone and are memoised, and
+each row is one copy of the running row.  The rows of one table() share
+their factors, which are read-only named tuples.  Length-0 Witt factors
+are pruned throughout.
 
 Assembly builds each Witt factor as a plain tuple and, beside it in the
 running row, its JSON wire entry; a row copies both and carries its
@@ -38,15 +40,15 @@ read-only.  An expression made any other way (by hand, by
 group_expr_from_dict, by _replace) carries none: group_expr_to_dict
 builds its entries from its factors.  Every entry, of a run's factor, a
 Quillen summand or a factor of such an expression, is built by
-_wire_entry from the factor it describes and its ring label: the one
-entry format, where an integer too long for the interpreter's int-to-str
-limit is a budget error.
+_wire_entry from the fields of the factor it describes, its ring label in
+place of its ring: the one entry format, where an integer too long for
+the interpreter's int-to-str limit is a budget error.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from functools import lru_cache
 
 from .errors import KaxError, factor_digit_limit_error
@@ -230,6 +232,21 @@ def _run_shape(p: int, m_prime: int, t: int, odd: bool) -> tuple[tuple[int, int]
     return tuple(shape)
 
 
+@lru_cache(maxsize=4096)
+def _steps(p: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The moves of a table row from degree n - 2 to n, t descending: (t, m')
+    for each t whose bound n // p^t moved, m' = n // p^t entering window
+    t + 1, or m' = 0 where no run moves (m' is 0, of the other parity, or
+    divisible by an odd p).  A p = 2 odd run ignores t: only m' = n moves."""
+    if n % 2 and p == 2:
+        return ((0, n),)
+    steps, t, m, m0 = [], 0, n, n - 2
+    while t == 0 or m > m0 >= 0:
+        steps.append((t, m if m and m % 2 == n % 2 and (p == 2 or m % p) else 0))
+        t, m, m0 = t + 1, m // p, m0 // p
+    return tuple(steps[::-1])
+
+
 def _degree_row(run: Callable, p: int, n: int, m_prime_limit: int | None) -> tuple:
     """Degree n with its Witt factors and their entries, by the definition: the
     (m', t) runs of the m' of n's parity, coprime to p if p is odd, up to n and
@@ -243,44 +260,13 @@ def _degree_row(run: Callable, p: int, n: int, m_prime_limit: int | None) -> tup
     return n, factors, entries
 
 
-def _table_rows(run: Callable, p: int, max_degree: int) -> Iterator[tuple]:
-    """Each degree 0..max_degree with the row _degree_row gives it, no limit.
-
-    Each parity steps from the empty row.  From n - 2 to n, the bound n // p^t
-    of window t moves for t = top..0, so m' = n // p^t, first in window t
-    (window 0: past the row), moves up to window t + 1: its run, at starts[t],
-    is replaced.  A p = 2 odd run ignores t, so those rows only grow.  The
-    lists are live: copy them, and leave them as they came.
-    """
-    sizes: dict[int, int] = {}  # m' -> the length of its run in the row
-    # per parity: factors, entries, starts[t] = the index of the first m' > n // p^t
-    rows = [([], [], [0] * (max_degree.bit_length() + 1)) for _ in range(2)]
-    for n in range(max_degree + 1):
-        factors, entries, starts = rows[n % 2]
-        odd = n % 2 == 1
-        top, q, q0 = 0, n // p, (n - 2) // p
-        while q > q0 >= 0 and not (odd and p == 2):
-            top, q, q0 = top + 1, q // p, q0 // p
-        grown = 0  # how far the runs replaced so far moved the ones after them
-        for t in range(top, -1, -1):
-            m, at = n // p**t, starts[t] + grown
-            if m and m % 2 == n % 2 and (p == 2 or m % p):
-                run_factors, run_entries = run(m, t + 1, odd)
-                size, sizes[m] = sizes.get(m, 0), len(run_factors)
-                factors[at:at + size] = run_factors
-                entries[at:at + size] = run_entries
-                grown += sizes[m] - size
-                at += sizes[m]
-            starts[t] = at
-        yield n, factors, entries
-
-
 def _rows(ring: RingSpec, d: int, variant: str, quillen_convention: str = "standard", *,
           degree: int = 0, m_prime_limit: int | None = None,
           max_degree: int | None = None) -> list[GroupExpr]:
     """The GroupExpr of degree, or of each degree 0..max_degree, carrying its
     wire entries: the one map from a variant to its word count, its d (the
-    dual numbers are d = 1) and its Quillen summands."""
+    dual numbers are d = 1) and its Quillen summands.  A single degree is
+    _degree_row; a table steps its running rows by _steps."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     counter = count_axes if variant == "axes" else count_aperiodic
@@ -301,31 +287,53 @@ def _rows(ring: RingSpec, d: int, variant: str, quillen_convention: str = "stand
     p = ring.p
     ring_text = _ring_to_str(ring)
     new = tuple.__new__
+    top = degree if max_degree is None else max_degree
+    counts: list[int | None] = [None] * (top + 1)  # s -> its word count; s | m' p^(t-1) <= top
 
     def run(m: int, t: int, odd: bool) -> tuple[list[GroupFactor], list[dict]]:
         # the (m', t) run's factors with a nonzero word count, and their entries
         nu = 0 if odd and p == 2 else None
         run_factors, run_entries = [], []
         for s, length in _run_shape(p, m, t, odd):
-            mult = counter(s, d)
+            mult = counts[s]
+            if mult is None:
+                mult = counts[s] = counter(s, d)
             if mult:
-                gf = new(GroupFactor, ("witt", mult, length, ring, None, None, m, s, nu))
-                run_factors.append(gf)
-                run_entries.append(_wire_entry(gf, ring_text))
+                fields = ("witt", mult, length, ring, None, None, m, s, nu)
+                run_factors.append(new(GroupFactor, fields))
+                run_entries.append(
+                    _wire_entry("witt", mult, length, ring_text, None, None, m, s, nu))
         return run_factors, run_entries
 
     exprs = []
-    for n, factors, entries in ([_degree_row(run, p, degree, m_prime_limit)] if max_degree is None
-                                else _table_rows(run, p, max_degree)):
-        # the Quillen summands sort first: they borrow the row's head for its one copy
-        quillen = _quillen_factors(ring.q, n, quillen_convention) if integral else ()
-        if quillen:
-            factors[:0] = quillen
-            entries[:0] = [_wire_entry(gf, None) for gf in quillen]
-        expr = new(GroupExpr, (n, p, completeness, tuple(factors)))
-        expr.__dict__["_entries"] = tuple(entries)
-        if quillen:
-            del factors[:len(quillen)], entries[:len(quillen)]
+    if max_degree is not None:
+        sizes = [0] * (top + 1)  # m' -> the length of its run in its row
+        # per parity: factors, entries, starts[t] = the index of the first m' > n // p^t
+        rows = [([], [], [0] * (top.bit_length() + 1)) for _ in range(2)]
+    for n in (degree,) if max_degree is None else range(max_degree + 1):
+        if max_degree is None:
+            _, factors, entries = _degree_row(run, p, n, m_prime_limit)
+        else:
+            factors, entries, starts = rows[n % 2]
+            odd, grown = n % 2 == 1, 0  # how far the runs replaced so far moved the rest
+            for t, m in _steps(p, n):
+                at = starts[t] + grown
+                if m:
+                    run_factors, run_entries = run(m, t + 1, odd)
+                    size, sizes[m] = sizes[m], len(run_factors)
+                    factors[at:at + size] = run_factors
+                    entries[at:at + size] = run_entries
+                    grown += sizes[m] - size
+                    at += sizes[m]
+                starts[t] = at
+        if integral:  # the Quillen summands sort first; they have no ring, so no label
+            quillen = _quillen_factors(ring.q, n, quillen_convention)
+            row_factors = quillen + tuple(factors)
+            row_entries = tuple([_wire_entry(*gf) for gf in quillen] + entries)
+        else:
+            row_factors, row_entries = tuple(factors), tuple(entries)
+        expr = new(GroupExpr, (n, p, completeness, row_factors))
+        expr.__dict__["_entries"] = row_entries
         exprs.append(expr)
     return exprs
 
@@ -426,14 +434,16 @@ def _ring_to_str(ring: RingSpec) -> str:
     return f"zpcycl:{ring.p}"
 
 
-def _wire_entry(gf: GroupFactor, ring_text: str | None) -> dict:
-    """The JSON wire entry of one factor, with ring_text the label of its ring.
+def _wire_entry(kind: str, multiplicity: int, length: int | None, ring_text: str | None,
+                order: int | None, rank: int | None, m_prime: int | None, s: int | None,
+                nu: int | None) -> dict:
+    """The JSON wire entry of one factor, from its GroupFactor fields with
+    ring_text, the label of its ring, in place of the ring.
 
     The integers that JSON cannot hold exactly (multiplicity, cyclic order)
     go out as decimal strings.  One too long for the interpreter's
     int-to-str limit is a budget error, not a usage error.
     """
-    kind, multiplicity, length, _, order, rank, m_prime, s, nu = gf
     try:
         mult_text = str(multiplicity)
         order_text = None if order is None else str(order)
@@ -461,8 +471,9 @@ def group_expr_to_dict(expr: GroupExpr) -> dict:
     """
     entries = expr._entries
     if entries is None:
-        entries = [_wire_entry(gf, None if gf.ring is None else _ring_to_str(gf.ring))
-                   for gf in expr.factors]
+        entries = [_wire_entry(kind, mult, length, None if ring is None else _ring_to_str(ring),
+                               order, rank, m_prime, s, nu)
+                   for kind, mult, length, ring, order, rank, m_prime, s, nu in expr.factors]
     complete = "integral" if expr.completeness.startswith("integral") else "p-complete"
     return {
         "degree": expr.degree,

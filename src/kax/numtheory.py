@@ -1,10 +1,11 @@
 """Exact integer number theory used by the counting and indexing layers.
 
 Primality, prime-power factoring and the Mobius function read least prime
-factors from one trial-division scan, bounded by MAX_TRIAL_DIVISOR.  The
-orders of the truncated and big Witt groups over F_{p^f} live here too:
-they are prime-power arithmetic, with no Witt vectors in them.  All of it
-is arbitrary-precision; no floating point is used anywhere in this package.
+factors from one trial-division scan, bounded by MAX_TRIAL_DIVISOR;
+primality and factoring share one cache of it.  The orders of the
+truncated and big Witt groups over F_{p^f} live here too: they are
+prime-power arithmetic, with no Witt vectors in them.  All of it is
+arbitrary-precision; no floating point is used anywhere in this package.
 """
 
 from functools import lru_cache
@@ -34,16 +35,23 @@ def _least_factor(n: int) -> int:
 
 
 @lru_cache(maxsize=256)
+def _cached_least_factor(n: int) -> int:
+    """_least_factor(n), cached: primality checks and factor_prime_power share
+    it, so a process scans each n once however many layers check or factor
+    it (an Fq: ring's q proves its p).  An error is not cached, so an n past
+    the scan raises at every call."""
+    return _least_factor(n)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test: n >= 2 is its own least factor, so an
-    n that the scan leaves open raises BudgetExceededError.  A verdict is
-    cached, so a process proves each p once however many layers check it;
-    an error is not, so an n past the scan raises at every call."""
-    return n >= 2 and _least_factor(n) == n
+    n that the scan leaves open raises BudgetExceededError."""
+    return n >= 2 and _cached_least_factor(n) == n
 
 
 def require_prime(p: int) -> None:
-    if not is_prime(p):
+    # is_prime's test without its call: every layer checks its p at every call
+    if p < 2 or _cached_least_factor(p) != p:
         raise ValueError(f"{p} is not prime")
 
 
@@ -93,7 +101,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Write q = p^f with p prime, or raise ValueError."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = _least_factor(q)
+    p = _cached_least_factor(q)
     f = 0
     while q % p == 0:
         q //= p

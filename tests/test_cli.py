@@ -127,6 +127,23 @@ GOLDEN_TABLES = {
     "Fq9-latex": (
         ["--p", "3", "--d", "2", "--ring", "Fq:9", "--format", "latex"],
         "a330a815f231d6ef3e2b1e66e65a08445d65b603aa1b418303d8737365149186"),
+    # the largest tables in the advertised range: d = 200, q = 2^12, and the
+    # one cell with p > 5, where a window never reaches past t = 1
+    "Fq4096-d200-json": (
+        ["--p", "2", "--d", "200", "--ring", "Fq:4096", "--format", "json"],
+        "c0470d8c82cfa9fccc459cd6f388c3d201861d5d36dae68d13e87459cb838c68"),
+    "Fq4096-d200-text": (
+        ["--p", "2", "--d", "200", "--ring", "Fq:4096", "--format", "text"],
+        "b7d9b6f76b7387b6519416fa93fad793597f2e1daf07c1e4112eed29d6fee980"),
+    "Fq4096-d200-latex": (
+        ["--p", "2", "--d", "200", "--ring", "Fq:4096", "--format", "latex"],
+        "42784e1ac14618fa8fa9a4c926c8e7b17fa54d2baee906d2300024503f9aa532"),
+    "Fq4096-d200-integral-json": (
+        ["--p", "2", "--d", "200", "--ring", "Fq:4096", "--integral", "--format", "json"],
+        "18a65d89c0d3ddfed012caeb68a91968f08a57824aec657d242466a8e4fa8dd9"),
+    "Fq4093-d200-json": (
+        ["--p", "4093", "--d", "200", "--ring", "Fq:4093", "--format", "json"],
+        "3580dec4e21701015b44454f9e041c5eaf0433031acf077327e2fa2572fdbd04"),
 }
 
 
@@ -652,7 +669,7 @@ def test_a_request_proves_its_prime_once(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(numtheory, "_least_factor", counting)
     RingSpec.from_q.cache_clear()
-    numtheory.is_prime.cache_clear()
+    numtheory._cached_least_factor.cache_clear()
     assert main(argv.format(q=q).split()) == 0
     assert scanned.count(q) == 1
     # a --p that differs is still proved, with the same message
@@ -663,10 +680,10 @@ def test_a_request_proves_its_prime_once(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv, code, stream, text, scans", [
-    # factor_prime_power's scan for the ring, then one is_prime for the four
+    # factor_prime_power's scan for the ring, which also answers the four
     # primality checks of the dual-numbers order line
     ("compute --p {q} --d 1 --ring Fq:{q} --variant dual --degree 1", 0, "out",
-     "F_{q} (order {q})\nh(1) = 1\nbig Witt check: |W_2|/|W_1| = {q}\n", 2),
+     "F_{q} (order {q})\nh(1) = 1\nbig Witt check: |W_2|/|W_1| = {q}\n", 1),
     # cmd_witt, WittRing and GaloisField each prove p; one scan serves them
     ("witt add --p {q} --n 1 1 2", 2, "err",
      "error: field order {q} exceeds supported size\n", 1),
@@ -686,7 +703,7 @@ def test_a_prime_proved_once_is_not_scanned_again(capsys, monkeypatch, argv, cod
 
     monkeypatch.setattr(numtheory, "_least_factor", counting)
     RingSpec.from_q.cache_clear()
-    numtheory.is_prime.cache_clear()
+    numtheory._cached_least_factor.cache_clear()
     assert main(argv.format(q=q).split()) == code
     assert getattr(capsys.readouterr(), stream) == text.format(q=q)
     assert scanned == [q] * scans

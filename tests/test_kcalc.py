@@ -11,6 +11,7 @@ from kax.kcalc import (
     GroupFactor,
     RingSpec,
     _run_shape,
+    _steps,
     axes_relative_k,
     dual_numbers_big_witt_order,
     dual_numbers_k,
@@ -25,7 +26,7 @@ from kax.kcalc import (
     table,
 )
 from kax.numtheory import divisors, order_Wn, vp
-from kax.tbounds import t_ev, t_od
+from kax.tbounds import t_ev, t_od, window
 from kax.words import CyclicWord, canonicalize, count_aperiodic, count_axes
 
 F2 = RingSpec.finite_field(2)
@@ -417,14 +418,35 @@ def test_run_shape_matches_a_naive_scan(p):
                 t += 1
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 4093))
+def test_steps_are_the_m_primes_whose_window_moved(p):
+    # from n - 2 to n a table row replaces the runs of the m' of n's parity,
+    # coprime to an odd p, whose window moved, m' ascending, each entering
+    # window t + 1; a p = 2 odd run ignores t, so there only m' = n joins
+    for n in range(201):
+        steps = _steps(p, n)
+        assert [t for t, _ in steps] == list(range(len(steps) - 1, -1, -1)), (p, n)
+        listed = [m for _, m in steps if m]
+        if p == 2 and n % 2:
+            assert listed == [n], (p, n)
+            continue
+        want = [m for m in range(2 - n % 2, n + 1, 2)
+                if (p == 2 or m % p) and window(p, n, m) != window(p, n - 2, m)]
+        assert listed == want, (p, n)
+        for t, m in steps:
+            assert not m or window(p, n, m) == t + 1, (p, n, t, m)
+
+
 def test_table_json_is_the_same_with_the_run_shapes_cold_and_warm():
     for ring, variant, d, max_degree in TABLE_GRID:
         if max_degree < 200:
             continue
         spec = parse_ring_spec(ring)
         _run_shape.cache_clear()
+        _steps.cache_clear()
         cold = json.dumps([group_expr_to_dict(e) for e in table(spec, d, max_degree, variant)])
         assert _run_shape.cache_info().currsize > 0
+        assert _steps.cache_info().currsize > 0
         warm = json.dumps([group_expr_to_dict(e) for e in table(spec, d, max_degree, variant)])
         assert warm == cold, (ring, variant, d)
 

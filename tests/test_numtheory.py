@@ -136,8 +136,8 @@ def test_scan_past_its_ceiling_is_a_budget_error():
 
 def test_scan_ceiling_edge(monkeypatch):
     monkeypatch.setattr(numtheory, "MAX_TRIAL_DIVISOR", 10)
-    # a verdict cached under the real ceiling would answer before the scan
-    is_prime.cache_clear()
+    # a least factor cached under the real ceiling would answer before the scan
+    numtheory._cached_least_factor.cache_clear()
     # isqrt(n) <= 10 settles n < 121; past it a factor up to 10 still does
     assert is_prime(113) and not is_prime(119) and mobius(120) == 0
     assert factor_prime_power(2**10) == (2, 10) and not is_prime(3 * 127)
@@ -149,8 +149,9 @@ def test_scan_ceiling_edge(monkeypatch):
 
 
 def test_is_prime_scans_each_n_once(monkeypatch):
-    # a verdict is cached, so each layer that proves p prime after the first
-    # makes no scan; a budget error is not, so it is raised at every call
+    # a least factor is cached, so each layer that proves p prime or factors
+    # q = p after the first makes no scan; a budget error is not, so it is
+    # raised at every call
     scanned = []
     real = numtheory._least_factor
 
@@ -159,13 +160,15 @@ def test_is_prime_scans_each_n_once(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(numtheory, "_least_factor", counting)
-    is_prime.cache_clear()
+    numtheory._cached_least_factor.cache_clear()
     assert [is_prime(1000000000039) for _ in range(3)] == [True] * 3
     assert [is_prime(1000000000038) for _ in range(2)] == [False] * 2
-    assert scanned == [1000000000039, 1000000000038]
+    assert factor_prime_power(1000000000039) == (1000000000039, 1)
+    assert factor_prime_power(1000000000061) == (1000000000061, 1) and is_prime(1000000000061)
+    assert scanned == [1000000000039, 1000000000038, 1000000000061]
     monkeypatch.setattr(numtheory, "MAX_TRIAL_DIVISOR", 10)
     for _ in range(2):
         with pytest.raises(BudgetExceededError, match="^121 has no prime factor up to 10, "):
             is_prime(121)
-    assert scanned[2:] == [121, 121]
-    is_prime.cache_clear()
+    assert scanned[3:] == [121, 121]
+    numtheory._cached_least_factor.cache_clear()
