@@ -99,9 +99,19 @@ def _bits_surely_too_long(bits: int) -> bool:
     return limit != 0 and bits * 3 // 10 + 1 > limit
 
 
+def _order_text(p: int, n: int, c: int = 1) -> str:
+    """p**n * c as its decimal wherever that fits the int-to-str limit, past
+    it p^N or p^N * c; a c too long for even that raises ValueError."""
+    # p**n >= 2**(n * (bit_length(p) - 1)): far past the limit the decimal
+    # is never built, and nearer it str() decides
+    if not _bits_surely_too_long(n * (p.bit_length() - 1)):
+        with suppress(ValueError):
+            return str(p**n * c)
+    return f"{p}^{n}" if c == 1 else f"{p}^{n} * {c}"
+
+
 def render_text(expr: GroupExpr, memo: dict | None = None) -> str:
-    """The factors and the order: its decimal wherever that fits the
-    int-to-str limit, past it p^N or p^N * c from order_exponent."""
+    """The factors and the order, by _order_text from order_exponent."""
     if expr.is_trivial:
         return "0"
     from .kcalc import factor_order_exponent, order_exponent
@@ -114,15 +124,8 @@ def render_text(expr: GroupExpr, memo: dict | None = None) -> str:
     o = order_exponent(expr, [part for _, part in pieces])
     if isinstance(o, str):
         return f"{body} ({o} order)" if o == "symbolic" else f"{body} (infinite)"
-    n, c = o
-    p = expr.p
-    # p**n >= 2**(n * (bit_length(p) - 1)): far past the limit the decimal
-    # is never built, and nearer it str() decides
-    if not _bits_surely_too_long(n * (p.bit_length() - 1)):
-        with suppress(ValueError):
-            return f"{body} (order {p**n * c})"
     try:
-        return f"{body} (order {p}^{n})" if c == 1 else f"{body} (order {p}^{n} * {c})"
+        return f"{body} (order {_order_text(expr.p, *o)})"
     except ValueError as exc:
         raise digit_limit_error(f"the order of the degree {expr.degree} group") from exc
 
@@ -233,18 +236,17 @@ def _compute_one(ring: RingSpec, args, degree: int) -> GroupExpr:
 
 
 def _dual_report_lines(ring: RingSpec, expr: GroupExpr) -> list[str]:
-    from .kcalc import dual_numbers_big_witt_order
-
     degree = expr.degree
     lines = []
     if ring.p != 2 and degree % 2 == 1:
         # at odd degree and p odd the factors with s = 1 are one per m',
         # each of length t_od
         lines = [f"h({gf.m_prime}) = {gf.length}" for gf in expr.factors if gf.s == 1]
-    bw = dual_numbers_big_witt_order(ring, degree)
-    if bw is not None:
+    if not ring.is_symbolic and degree >= 1 and degree % 2 == 1:
+        # |W_2i(F_q)| / |W_i(F_q)| = q^i = p^(f i); kax verify dual checks
+        # the factors against W_2i / V_2 W_i
         i = (degree + 1) // 2
-        lines.append(f"big Witt check: |W_{2 * i}|/|W_{i}| = {bw}")
+        lines.append(f"big Witt check: |W_{2 * i}|/|W_{i}| = {_order_text(ring.p, ring.f * i)}")
     return lines
 
 
@@ -252,10 +254,11 @@ def cmd_compute(args) -> int:
     ring = _resolve_ring(args)
     _check_degree(args.degree)
     expr = _compute_one(ring, args, args.degree)
-    print(render(expr, args.format))
+    # build every line first, so a line that fails leaves no partial output
+    lines = [render(expr, args.format)]
     if args.variant == "dual" and args.format == "text":
-        for line in _dual_report_lines(ring, expr):
-            print(line)
+        lines += _dual_report_lines(ring, expr)
+    print(*lines, sep="\n")
     return 0
 
 

@@ -52,7 +52,7 @@ from collections.abc import Callable, Iterable
 from functools import lru_cache
 
 from .errors import KaxError, factor_digit_limit_error
-from .numtheory import big_witt_order, divisors, factor_prime_power, require_prime
+from .numtheory import divisors, factor_prime_power, require_prime
 from .tbounds import window
 from .words import count_aperiodic, count_axes
 
@@ -355,14 +355,6 @@ def axes_relative_k(
 def dual_numbers_k(ring: RingSpec, degree: int) -> GroupExpr:
     """Dual numbers R[x]/x^2: the d = 1 specialization."""
     return relative_k(ring, 1, degree)
-
-
-def dual_numbers_big_witt_order(ring: RingSpec, degree: int) -> int | None:
-    """Independent order presentation |W_2i(k)| / |W_i(k)| at odd degree 2i-1."""
-    if ring.is_symbolic or degree < 1 or degree % 2 == 0:
-        return None
-    i = (degree + 1) // 2
-    return big_witt_order(2 * i, ring.p, ring.f) // big_witt_order(i, ring.p, ring.f)
 
 
 QUILLEN_CONVENTIONS = ("standard", "paper")

@@ -2,15 +2,13 @@
 
 Primality, prime-power factoring and the Mobius function read least prime
 factors from one trial-division scan, bounded by MAX_TRIAL_DIVISOR;
-primality and factoring share one cache of it.  The orders of the
-truncated and big Witt groups over F_{p^f} live here too: they are
-prime-power arithmetic, with no Witt vectors in them.  All of it is
+primality and factoring share one cache of it.  All of it is
 arbitrary-precision; no floating point is used anywhere in this package.
 """
 
 from functools import lru_cache
 
-from .errors import BudgetExceededError, InternalError
+from .errors import BudgetExceededError
 
 # the scan makes at most MAX_TRIAL_DIVISOR // 2 divisions (0.5-1 s on a
 # 2-core x86-64 VM), so it settles every n below (MAX_TRIAL_DIVISOR + 1)**2
@@ -110,36 +108,3 @@ def factor_prime_power(q: int) -> tuple[int, int]:
         raise ValueError("not a prime power")
     return p, f
 
-
-def order_Wn(p: int, f: int, n: int) -> int:
-    """|W_n(F_{p^f})| = p^(n*f); the length-0 group is trivial."""
-    require_prime(p)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return p ** (n * f)
-
-
-def big_witt_order(m: int, p: int, f: int) -> int:
-    """|W_m(F_q)| for the length-m big Witt vectors, q = p^f.
-
-    Uses the splitting of the big Witt group into p-typical pieces indexed
-    by j <= m coprime to p, the j-th of length #{i >= 0 : j*p^i <= m}, so
-    the order is p^(f * the sum of the lengths).  The lengths must sum to
-    m, which is asserted.
-    """
-    require_prime(p)
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    total_len = 0
-    for j in range(1, m + 1):
-        if j % p == 0:
-            continue
-        length = 0
-        jp = j
-        while jp <= m:
-            length += 1
-            jp *= p
-        total_len += length
-    if total_len != m:
-        raise InternalError(f"big Witt splitting lengths sum to {total_len}, not {m}")
-    return order_Wn(p, f, total_len)

@@ -15,7 +15,7 @@ from itertools import accumulate, product, repeat
 from .errors import BudgetExceededError, InternalError
 from .fields import GaloisField, galois_field
 from .kcalc import RingSpec, order, relative_k
-from .numtheory import big_witt_order, factor_prime_power, require_prime
+from .numtheory import factor_prime_power, require_prime
 from .witt import ghost, iso_with_zpn, witt_polys, witt_ring
 from .words import count_aperiodic, count_axes, count_by_enumeration
 
@@ -289,18 +289,34 @@ def check_k1(
     return report
 
 
+def _big_witt_lengths(m: int, p: int) -> dict[int, int]:
+    """The p-typical split of big W_m(k): j <= m prime to p -> h(j, m) = #{e : j p^e <= m}."""
+    lengths = {}
+    for j in range(1, m + 1):
+        if j % p:
+            h, jp = 0, j
+            while jp <= m:
+                h, jp = h + 1, jp * p
+            lengths[j] = h
+    return lengths
+
+
 def check_dual_numbers(p_set=(2, 3, 5), i_max: int = 5) -> list[ReportEntry]:
-    """Order law at odd degrees 2i - 1 of the dual numbers: |W_2i| / |W_i| = p^i."""
+    """Hesselholt-Madsen at odd degrees 2i - 1 of the dual numbers: the Witt
+    factor lengths, with multiplicity, are those of W_2i(F_p) / V_2 W_i(F_p),
+    where V_2 takes the even j at odd p and h(j, i) of each j at p = 2."""
     report = []
     for p in p_set:
         ring = RingSpec.finite_field(p, 1)
         for i in range(1, i_max + 1):
             params = {"p": p, "i": i, "degree": 2 * i - 1}
-            got = order(relative_k(ring, 1, 2 * i - 1))
-            expected = big_witt_order(2 * i, p, 1) // big_witt_order(i, p, 1)
-            witness = f"K order {got}, big Witt quotient {expected}, p^i {p**i}"
-            report.append(_verdict("dual-numbers-order", params,
-                                   None if got == expected == p**i else witness))
+            half = _big_witt_lengths(i, p) if p == 2 else {}
+            expected = sorted(h - half.get(j, 0)
+                              for j, h in _big_witt_lengths(2 * i, p).items() if j % 2)
+            got = sorted(gf.length for gf in relative_k(ring, 1, 2 * i - 1).factors
+                         for _ in range(gf.multiplicity))
+            report.append(_verdict("dual-numbers-order", params, None if got == expected else
+                                   f"K lengths {got}, W_{2 * i}/V_2 W_{i} lengths {expected}"))
     return report
 
 

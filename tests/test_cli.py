@@ -17,12 +17,13 @@ from kax.tbounds import t_od
 from kax.words import DEFAULT_BUDGET, count_aperiodic, count_axes, enumerate_aperiodic, parse_word
 
 
-def run_cli(*argv, timeout=None):
+def run_cli(*argv, timeout=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "kax", *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=env,
     )
 
 
@@ -529,6 +530,29 @@ def test_text_order_surely_too_long_is_refused_before_it_is_built(argv):
     assert proc.stdout.endswith(f" {note}\n")
 
 
+# sha256 of the whole stdout of the dual request below at q = 2^142
+DUAL_Q_2_142 = "a40cb42fa688a4a3a122247621dbec5eb3ffa81b6124bc2bf80075f4cbb07c50"
+
+
+@pytest.mark.parametrize("limit_env", [None, "0"])
+@pytest.mark.parametrize("e", [142, 143])
+def test_dual_big_witt_line_past_the_str_limit_prints_p_to_the_n(e, limit_env):
+    # the line prints q^100 = 2^(100 e): as its 4,275-digit decimal at e = 142,
+    # as 2^14300 at e = 143, whose 4,305 digits pass the int-to-str limit, as
+    # the order does; with the limit off (0) the command runs under the default
+    env = None if limit_env is None else {**os.environ, "PYTHONINTMAXSTRDIGITS": limit_env}
+    proc = run_cli("compute", "--p", "2", "--d", "1", "--ring", f"Fq:{2**e}", "--degree", "199",
+                   "--variant", "dual", timeout=60, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    group, line = proc.stdout.splitlines()
+    if e == 142:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DUAL_Q_2_142
+        assert line == f"big Witt check: |W_200|/|W_100| = {2**14200}"
+    else:
+        assert group.endswith(f" x F_{2**143} (order 2^14300)")
+        assert line == "big Witt check: |W_200|/|W_100| = 2^14300"
+
+
 def test_text_order_with_the_str_limit_off_is_bounded(capsys):
     # a limit of 0 lets str() build any decimal; the order note still
     # stops at the default limit, so 3^N prints at once
@@ -680,8 +704,8 @@ def test_a_request_proves_its_prime_once(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv, code, stream, text, scans", [
-    # factor_prime_power's scan for the ring, which also answers the four
-    # primality checks of the dual-numbers order line
+    # factor_prime_power's scan for the ring, the request's one proof of p:
+    # the dual-numbers order line prints q^i and checks no prime
     ("compute --p {q} --d 1 --ring Fq:{q} --variant dual --degree 1", 0, "out",
      "F_{q} (order {q})\nh(1) = 1\nbig Witt check: |W_2|/|W_1| = {q}\n", 1),
     # cmd_witt, WittRing and GaloisField each prove p; one scan serves them

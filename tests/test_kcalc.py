@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from kax.kcalc import (
     _run_shape,
     _steps,
     axes_relative_k,
-    dual_numbers_big_witt_order,
     dual_numbers_k,
     group_expr_from_dict,
     group_expr_to_dict,
@@ -25,7 +25,8 @@ from kax.kcalc import (
     relative_k,
     table,
 )
-from kax.numtheory import divisors, order_Wn, vp
+from kax.numtheory import divisors, vp
+from kax.oracles import _big_witt_lengths
 from kax.tbounds import t_ev, t_od, window
 from kax.words import CyclicWord, canonicalize, count_aperiodic, count_axes
 
@@ -124,8 +125,8 @@ def test_axes_examples():
     assert axes_relative_k(F3, 3, 1).is_trivial
 
 
-# p = 2 prints 0 today: the axes rule at p = 2 is ROADMAP item 2
-_AXES_P2 = pytest.mark.xfail(strict=True, reason="axes variant at p = 2, ROADMAP item 2")
+# p = 2 prints too small a group in even degrees: the axes rule at p = 2 is ROADMAP item 3
+_AXES_P2 = pytest.mark.xfail(strict=True, reason="axes variant at p = 2, ROADMAP item 3")
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49] + [
@@ -140,13 +141,45 @@ def test_axes_degree_2_is_the_birelative_tensor_product(q):
 def test_dual_numbers():
     e = dual_numbers_k(F3, 3)
     assert order(e) == 9
-    assert dual_numbers_big_witt_order(F3, 3) == 9
     e = dual_numbers_k(F2, 3)
     assert order(e) == 4
-    assert dual_numbers_big_witt_order(F2, 3) == 4
     for ring in (F2, F3):
         assert dual_numbers_k(ring, 2).is_trivial
-    assert dual_numbers_big_witt_order(F3, 2) is None
+
+
+def _witt_lengths(expr, ring):
+    # length -> copies of W_length(ring), counted with multiplicity; None for
+    # a factor over any other ring
+    lengths = Counter()
+    for gf in expr.factors:
+        lengths[gf.length if gf.ring == ring else None] += gf.multiplicity
+    return lengths
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27])
+def test_dual_numbers_are_hesselholt_madsen_in_every_degree(q):
+    # K_{2i-1}(k[x]/x^2, (x)) = W_2i(k) / V_2 W_i(k) and K_2i = 0 (Hesselholt
+    # and Madsen, Invent. Math. 130, 1997): V_2 carries component j of W_i
+    # onto 2j at odd p, and shortens component j by h(j, i) at p = 2
+    ring = RingSpec.from_q(q)
+    p = ring.p
+    for n in range(201):
+        i = (n + 1) // 2
+        half = _big_witt_lengths(i, p) if p == 2 else {}
+        want = Counter() if n % 2 == 0 else Counter(
+            h - half.get(j, 0) for j, h in _big_witt_lengths(2 * i, p).items() if j % 2)
+        assert _witt_lengths(relative_k(ring, 1, n), ring) == want, (q, n)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27] + [
+    pytest.param(q, marks=_AXES_P2) for q in (2, 4)])
+def test_axes_at_d_2_are_big_witt_vectors_in_every_degree(q):
+    # K_2m(k[x,y]/(xy), (x,y)) = big W_m(k) and K_odd = 0 (Hesselholt, Nagoya
+    # Math. J. 185, 2007), in the p-typical split of the big Witt vectors
+    ring = RingSpec.from_q(q)
+    for n in range(201):
+        want = Counter() if n % 2 else Counter(_big_witt_lengths(n // 2, ring.p).values())
+        assert _witt_lengths(axes_relative_k(ring, 2, n), ring) == want, (q, n)
 
 
 def test_integral_examples():
@@ -682,7 +715,7 @@ def _product_of_copy_orders(expr):
         if gf.kind == "cyclic":
             total *= gf.order**gf.multiplicity
         else:
-            total *= order_Wn(gf.ring.p, gf.ring.f, gf.length) ** gf.multiplicity
+            total *= (gf.ring.p ** (gf.ring.f * gf.length)) ** gf.multiplicity
     return total
 
 

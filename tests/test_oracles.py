@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from kax import oracles
+from kax import kcalc, oracles
 from kax.errors import BudgetExceededError, InternalError
 from kax.numtheory import factor_prime_power
 from kax.oracles import (
@@ -94,6 +94,25 @@ def test_check_k1_skips_over_budget():
 def test_check_dual_numbers():
     report = check_dual_numbers(p_set=(2, 3, 5), i_max=4)
     assert all_passed(report)
+
+
+def test_check_dual_numbers_sees_a_split_witt_factor(monkeypatch):
+    # W_2(F_3) and F_3 x F_3 have the same order, so an order law passes a
+    # run shape that splits each length-2 run into two length-1 factors;
+    # the quotient W_2i / V_2 W_i does not (degree 9 has no length-2 factor)
+    real = kcalc._run_shape
+
+    def split(p, m_prime, t, odd):
+        return tuple(piece for s, length in real(p, m_prime, t, odd)
+                     for piece in ([(s, 1), (s, 1)] if length == 2 else [(s, length)]))
+
+    monkeypatch.setattr(kcalc, "_run_shape", split)
+    F3 = kcalc.RingSpec.finite_field(3)
+    assert [kcalc.order(kcalc.relative_k(F3, 1, 2 * i - 1)) for i in range(1, 6)] == [
+        3**i for i in range(1, 6)]
+    report = check_dual_numbers(p_set=(3,), i_max=5)
+    assert [e.params["i"] for e in report if e.status == "fail"] == [2, 3, 4]
+    assert report[1].witness == "K lengths [1, 1], W_4/V_2 W_2 lengths [2]"
 
 
 def test_run_suites_selection():

@@ -7,7 +7,6 @@ from test_witt_golden import CEILING, GRID
 from kax import witt
 from kax.errors import BudgetExceededError, InternalError
 from kax.fields import _poly_mod, _poly_mul, galois_field
-from kax.numtheory import big_witt_order, order_Wn
 from kax.oracles import _poly_witt_ops
 from kax.witt import (
     MAX_WITT_BITS,
@@ -137,21 +136,6 @@ def test_restrict_is_ring_hom():
         # restrict commutes with V
         ra = restrict(a)
         assert restrict(verschiebung(ra)) == verschiebung(restrict(ra))
-
-
-def test_order_Wn():
-    assert order_Wn(3, 1, 2) == 9
-    assert order_Wn(2, 3, 1) == 8
-    assert order_Wn(7, 2, 0) == 1
-
-
-def test_big_witt_order():
-    assert big_witt_order(2, 3, 1) == 9
-    assert big_witt_order(4, 2, 1) == 16
-    assert big_witt_order(0, 5, 2) == 1
-    for m in range(0, 15):
-        for p, f in ((2, 1), (3, 1), (3, 2), (5, 1)):
-            assert big_witt_order(m, p, f) == (p**f) ** m
 
 
 def test_iso_with_zpn_examples():
