@@ -19,16 +19,17 @@ m' that have the parity of the degree and, for p odd, are coprime to p.
                      W_1 = R (nu = 0) per (s, word).
 
 A row is its (m', t) runs, m' ascending, which is t descending, then s
-ascending: the canonical order.  One run builder makes a run's factors
-from its memoised shape, reading each s's word count once per call, and
-one loop makes the rows.  A single degree lists its m' and reads each
-window with tbounds.window: the definition.  A table steps one running
-row per parity from the empty row.  A factor depends on the degree only
-through the window t, and m' has window t at degree n exactly when
-n // p^t < m' <= n // p^(t-1); so from n - 2 to n only m' = n // p^t
-moves, from window t to t + 1, for each t whose bound moved (m' = n from
-window 0 to 1).  These steps depend on (p, n) alone and are memoised, and
-each row is one copy of the running row.  The rows of one table() share
+ascending: the canonical order.  One loop makes every row, of a table or
+of a single degree: it steps one running row per parity from the empty
+row.  A factor depends on the degree only through the window t, and m'
+has window t at degree n exactly when n // p^t < m' <= n // p^(t-1); so
+from n - 2 to n only m' = n // p^t moves, from window t to t + 1, for
+each t whose bound moved (m' = n from window 0 to 1).  These steps depend
+on (p, n) alone and are memoised, so no row reads a window.  A run's
+factors come from its memoised shape, reading each s's word count once
+per call; a run whose m' is above m_prime_limit stays empty.  A single
+degree steps its parity alone and builds only its own row; each row of a
+table is one copy of the running row, and the rows of one table() share
 their factors, which are read-only named tuples.  Length-0 Witt factors
 are pruned throughout.
 
@@ -48,12 +49,11 @@ the interpreter's int-to-str limit is a budget error.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from functools import lru_cache
 
 from .errors import KaxError, factor_digit_limit_error
 from .numtheory import divisors, factor_prime_power, require_prime
-from .tbounds import window
 from .words import count_aperiodic, count_axes
 
 VARIANTS = ("square", "axes", "dual", "integral")
@@ -234,7 +234,7 @@ def _run_shape(p: int, m_prime: int, t: int, odd: bool) -> tuple[tuple[int, int]
 
 @lru_cache(maxsize=4096)
 def _steps(p: int, n: int) -> tuple[tuple[int, int], ...]:
-    """The moves of a table row from degree n - 2 to n, t descending: (t, m')
+    """The moves of a running row from degree n - 2 to n, t descending: (t, m')
     for each t whose bound n // p^t moved, m' = n // p^t entering window
     t + 1, or m' = 0 where no run moves (m' is 0, of the other parity, or
     divisible by an odd p).  A p = 2 odd run ignores t: only m' = n moves."""
@@ -247,26 +247,14 @@ def _steps(p: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps[::-1])
 
 
-def _degree_row(run: Callable, p: int, n: int, m_prime_limit: int | None) -> tuple:
-    """Degree n with its Witt factors and their entries, by the definition: the
-    (m', t) runs of the m' of n's parity, coprime to p if p is odd, up to n and
-    m_prime_limit, m' ascending, t the window at n."""
-    factors, entries = [], []
-    for m in range(2 - n % 2, (n if m_prime_limit is None else min(n, m_prime_limit)) + 1, 2):
-        if p == 2 or m % p:
-            run_factors, run_entries = run(m, window(p, n, m), n % 2 == 1)
-            factors += run_factors
-            entries += run_entries
-    return n, factors, entries
-
-
-def _rows(ring: RingSpec, d: int, variant: str, quillen_convention: str = "standard", *,
-          degree: int = 0, m_prime_limit: int | None = None,
-          max_degree: int | None = None) -> list[GroupExpr]:
-    """The GroupExpr of degree, or of each degree 0..max_degree, carrying its
-    wire entries: the one map from a variant to its word count, its d (the
-    dual numbers are d = 1) and its Quillen summands.  A single degree is
-    _degree_row; a table steps its running rows by _steps."""
+def _rows(ring: RingSpec, d: int, variant: str, degrees: range,
+          quillen_convention: str = "standard", m_prime_limit: int | None = None
+          ) -> list[GroupExpr]:
+    """The GroupExpr of each degree in degrees, carrying its wire entries: the
+    one map from a variant to its word count, its d (the dual numbers are
+    d = 1) and its Quillen summands.  Each parity of degrees steps its running
+    row by _steps from the empty row, so a single degree n, range(n, n + 1, 2),
+    steps n's parity alone; a run whose m' is above m_prime_limit stays empty."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     counter = count_axes if variant == "axes" else count_aperiodic
@@ -287,45 +275,42 @@ def _rows(ring: RingSpec, d: int, variant: str, quillen_convention: str = "stand
     p = ring.p
     ring_text = _ring_to_str(ring)
     new = tuple.__new__
-    top = degree if max_degree is None else max_degree
+    top = degrees[-1]
+    limit = top if m_prime_limit is None else m_prime_limit
     counts: list[int | None] = [None] * (top + 1)  # s -> its word count; s | m' p^(t-1) <= top
-
-    def run(m: int, t: int, odd: bool) -> tuple[list[GroupFactor], list[dict]]:
-        # the (m', t) run's factors with a nonzero word count, and their entries
-        nu = 0 if odd and p == 2 else None
-        run_factors, run_entries = [], []
-        for s, length in _run_shape(p, m, t, odd):
-            mult = counts[s]
-            if mult is None:
-                mult = counts[s] = counter(s, d)
-            if mult:
-                fields = ("witt", mult, length, ring, None, None, m, s, nu)
-                run_factors.append(new(GroupFactor, fields))
-                run_entries.append(
-                    _wire_entry("witt", mult, length, ring_text, None, None, m, s, nu))
-        return run_factors, run_entries
-
+    sizes = [0] * (top + 1)  # m' -> the length of its run in its row
+    # per parity: factors, entries, starts[t] = the index of the first m' > n // p^t
+    width = top.bit_length() + 1
+    rows = ([], [], [0] * width), ([], [], [0] * width)
     exprs = []
-    if max_degree is not None:
-        sizes = [0] * (top + 1)  # m' -> the length of its run in its row
-        # per parity: factors, entries, starts[t] = the index of the first m' > n // p^t
-        rows = [([], [], [0] * (top.bit_length() + 1)) for _ in range(2)]
-    for n in (degree,) if max_degree is None else range(max_degree + 1):
-        if max_degree is None:
-            _, factors, entries = _degree_row(run, p, n, m_prime_limit)
-        else:
-            factors, entries, starts = rows[n % 2]
-            odd, grown = n % 2 == 1, 0  # how far the runs replaced so far moved the rest
-            for t, m in _steps(p, n):
-                at = starts[t] + grown
-                if m:
-                    run_factors, run_entries = run(m, t + 1, odd)
-                    size, sizes[m] = sizes[m], len(run_factors)
-                    factors[at:at + size] = run_factors
-                    entries[at:at + size] = run_entries
-                    grown += sizes[m] - size
-                    at += sizes[m]
-                starts[t] = at
+    # each parity from its least degree >= 0; a negative degree is its own empty row
+    first = degrees.start
+    for n in range(min(first, first % degrees.step), degrees.stop, degrees.step):
+        odd, grown = n % 2 == 1, 0  # how far the runs replaced so far moved the rest
+        factors, entries, starts = rows[odd]
+        nu = 0 if odd and p == 2 else None
+        for t, m in _steps(p, n):
+            at = starts[t] + grown
+            if 0 < m <= limit:
+                # the (m', t + 1) run's factors with a nonzero word count
+                run_factors, run_entries = [], []
+                for s, length in _run_shape(p, m, t + 1, odd):
+                    mult = counts[s]
+                    if mult is None:
+                        mult = counts[s] = counter(s, d)
+                    if mult:
+                        run_factors.append(new(GroupFactor, ("witt", mult, length, ring, None,
+                                                             None, m, s, nu)))
+                        run_entries.append(_wire_entry("witt", mult, length, ring_text, None,
+                                                       None, m, s, nu))
+                size, sizes[m] = sizes[m], len(run_factors)
+                factors[at:at + size] = run_factors
+                entries[at:at + size] = run_entries
+                grown += sizes[m] - size
+                at += sizes[m]
+            starts[t] = at
+        if n < first:
+            continue
         if integral:  # the Quillen summands sort first; they have no ring, so no label
             quillen = _quillen_factors(ring.q, n, quillen_convention)
             row_factors = quillen + tuple(factors)
@@ -342,14 +327,14 @@ def relative_k(
     ring: RingSpec, d: int, degree: int, m_prime_limit: int | None = None
 ) -> GroupExpr:
     """Relative p-adic K-group of the square-zero extension in d variables."""
-    return _rows(ring, d, "square", degree=degree, m_prime_limit=m_prime_limit)[0]
+    return _rows(ring, d, "square", range(degree, degree + 1, 2), m_prime_limit=m_prime_limit)[0]
 
 
 def axes_relative_k(
     ring: RingSpec, d: int, degree: int, m_prime_limit: int | None = None
 ) -> GroupExpr:
     """Coordinate-axes variant: word counts restricted to adjacent-distinct."""
-    return _rows(ring, d, "axes", degree=degree, m_prime_limit=m_prime_limit)[0]
+    return _rows(ring, d, "axes", range(degree, degree + 1, 2), m_prime_limit=m_prime_limit)[0]
 
 
 def dual_numbers_k(ring: RingSpec, degree: int) -> GroupExpr:
@@ -395,8 +380,8 @@ def integral_k_finite_field(
     """Integral K-group over F_q: relative part plus the K(F_q) summand."""
     if degree < 0:
         raise ValueError("integral K-groups are computed for degree >= 0")
-    return _rows(RingSpec.from_q(q), d, "integral", quillen_convention,
-                 degree=degree, m_prime_limit=m_prime_limit)[0]
+    return _rows(RingSpec.from_q(q), d, "integral", range(degree, degree + 1, 2),
+                 quillen_convention, m_prime_limit)[0]
 
 
 def table(
@@ -409,7 +394,7 @@ def table(
     """One GroupExpr per degree 0..max_degree, sharing their factors."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    return _rows(ring, d, variant, quillen_convention, max_degree=max_degree)
+    return _rows(ring, d, variant, range(max_degree + 1), quillen_convention)
 
 
 # ---------------------------------------------------------------------------

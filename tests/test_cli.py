@@ -895,9 +895,9 @@ def test_witt_and_verify_import_their_layers_when_run(argv):
 @pytest.mark.parametrize("argv, unused", [
     ("witt v --p 2 --n 2 1,2", {"kax.kcalc", "kax.words", "json"}),
     ("count-words --s 6 --d 2 --list", {"kax.kcalc", "json"}),
-    ("compute --p 3 --d 2 --ring Fq:9 --degree 5", {"json"}),
-    ("compute --p 3 --d 2 --ring Fq:9 --degree 5 --format latex", {"json"}),
-    ("table --p 3 --d 2 --ring Fq:9 --max-degree 9", {"json", "kax.witt"}),
+    ("compute --p 3 --d 2 --ring Fq:9 --degree 5", {"json", "kax.tbounds"}),
+    ("compute --p 3 --d 2 --ring Fq:9 --degree 5 --format latex", {"json", "kax.tbounds"}),
+    ("table --p 3 --d 2 --ring Fq:9 --max-degree 9", {"json", "kax.witt", "kax.tbounds"}),
 ])
 def test_a_command_loads_no_layer_it_does_not_run(argv, unused):
     codes, loaded = _run_main_in_fresh_interpreter(argv.split())

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kax import kcalc
+from kax import kcalc, tbounds
 from kax.errors import BudgetExceededError
 from kax.kcalc import (
     GroupExpr,
     GroupFactor,
     RingSpec,
+    _rows,
     _run_shape,
     _steps,
     axes_relative_k,
@@ -487,9 +488,9 @@ def test_table_json_is_the_same_with_the_run_shapes_cold_and_warm():
 @pytest.mark.parametrize("ring", ("Fq:2", "Fq:3", "Fq:25", "Fq:7"))
 @pytest.mark.parametrize("limit", (None, 0, 7, 50))
 def test_assembled_rows_over_any_range_equal_the_single_degree_rows(ring, limit):
-    # the two row builders against each other: each row of a table, factors
-    # and entries, is its single-degree row, which a limit cuts to m' <= limit;
-    # a shorter table is a prefix of the longer one
+    # the one loop over a table's range and over a single degree: each row of
+    # a table, factors and entries, is its single-degree row, which a limit
+    # cuts to m' <= limit; a shorter table is a prefix of the longer one
     spec = parse_ring_spec(ring)
     for variant, single in (("square", relative_k), ("axes", axes_relative_k)):
         rows = table(spec, 2, 200, variant)
@@ -505,15 +506,47 @@ def test_assembled_rows_over_any_range_equal_the_single_degree_rows(ring, limit)
             assert [e._entries for e in prefix] == [e._entries for e in rows[:max_degree + 1]]
 
 
-def test_table_rows_read_no_window(monkeypatch):
-    # a table steps its rows from the bounds n // p^t alone
+def test_no_assembly_reads_a_window(monkeypatch):
+    # every row, of a table or of a single degree, is stepped from the bounds
+    # n // p^t alone; kcalc keeps no window of its own to call
     def no_window(*args):
-        raise AssertionError("table() called tbounds.window")
+        raise AssertionError("assembly called tbounds.window")
 
-    monkeypatch.setattr(kcalc, "window", no_window)
+    monkeypatch.setattr(tbounds, "window", no_window)
+    assert "window" not in vars(kcalc)
     for ring in ("Fq:2", "Fq:3", "Fq:25", "Fq:7", "perfectoid:R:3"):
+        spec = parse_ring_spec(ring)
         for variant in ("square", "axes", "dual"):
-            assert len(table(parse_ring_spec(ring), 3, 200, variant)) == 201
+            assert len(table(spec, 3, 200, variant)) == 201
+        for degree in range(201):
+            assert dual_numbers_k(spec, degree).degree == degree
+            for limit in (None, 0, 7, 50):
+                assert relative_k(spec, 3, degree, limit).degree == degree
+                assert axes_relative_k(spec, 3, degree, limit).degree == degree
+                if not spec.is_symbolic:
+                    row = integral_k_finite_field(spec.q, 3, degree, m_prime_limit=limit)
+                    assert row.degree == degree
+
+
+@pytest.mark.parametrize("degree", (-3, -2, -1))
+def test_negative_degrees_are_empty_rows(degree):
+    # the stepping loop makes a negative degree its own empty row; the
+    # integral variant rejects it, and a bad d or variant still raises first
+    for ring in (F3, F4, RingSpec("perfectoid", 3, name="R")):
+        complete = "p-complete" if ring.is_symbolic else "integral-because-p-power-torsion"
+        want = GroupExpr(degree, ring.p, complete, ())
+        rows = [dual_numbers_k(ring, degree)]
+        for limit in (None, 0, -1, 5):
+            rows += [relative_k(ring, 2, degree, limit), axes_relative_k(ring, 2, degree, limit)]
+        for row in rows:
+            assert row == want and row._entries == (), (ring, degree)
+            assert group_expr_to_dict(row)["factors"] == []
+    with pytest.raises(ValueError):
+        integral_k_finite_field(3, 2, degree)
+    with pytest.raises(ValueError):
+        relative_k(F3, 0, degree)
+    with pytest.raises(ValueError):
+        _rows(F3, 2, "bogus", range(degree, degree + 1, 2))
 
 
 @pytest.mark.parametrize("ring, variant, d, max_degree",
