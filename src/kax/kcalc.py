@@ -28,7 +28,9 @@ each t whose bound moved (m' = n from window 0 to 1).  These steps depend
 on (p, n) alone and are memoised, so no row reads a window.  A run's
 factors come from its memoised shape, reading each s's word count once
 per call; a run whose m' is above m_prime_limit stays empty.  A single
-degree steps its parity alone and builds only its own row; each row of a
+degree steps its parity alone and builds only its own row, and of the
+runs only those that no later step replaces by that degree: a run entering
+window t + 1 moves again at the least degree >= m' p^(t+1).  Each row of a
 table is one copy of the running row, and the rows of one table() share
 their factors, which are read-only named tuples.  Length-0 Witt factors
 are pruned throughout.
@@ -254,7 +256,8 @@ def _rows(ring: RingSpec, d: int, variant: str, degrees: range,
     one map from a variant to its word count, its d (the dual numbers are
     d = 1) and its Quillen summands.  Each parity of degrees steps its running
     row by _steps from the empty row, so a single degree n, range(n, n + 1, 2),
-    steps n's parity alone; a run whose m' is above m_prime_limit stays empty."""
+    steps n's parity alone; a run whose m' is above m_prime_limit stays empty,
+    and a run that a later step replaces before degrees' first is not built."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     counter = count_axes if variant == "axes" else count_aperiodic
@@ -292,21 +295,25 @@ def _rows(ring: RingSpec, d: int, variant: str, degrees: range,
         for t, m in _steps(p, n):
             at = starts[t] + grown
             if 0 < m <= limit:
-                # the (m', t + 1) run's factors with a nonzero word count
-                run_factors, run_entries = [], []
-                for s, length in _run_shape(p, m, t + 1, odd):
-                    mult = counts[s]
-                    if mult is None:
-                        mult = counts[s] = counter(s, d)
-                    if mult:
-                        run_factors.append(new(GroupFactor, ("witt", mult, length, ring, None,
-                                                             None, m, s, nu)))
-                        run_entries.append(_wire_entry("witt", mult, length, ring_text, None,
-                                                       None, m, s, nu))
-                size, sizes[m] = sizes[m], len(run_factors)
-                factors[at:at + size] = run_factors
-                entries[at:at + size] = run_entries
-                grown += sizes[m] - size
+                # a run in window t + 1 next moves at the least degree of n's
+                # parity >= m' p^(t+1); one that moves again by the first
+                # degree wanted is not built (a p = 2 odd run never moves)
+                if nu is not None or m * p ** (t + 1) > first:
+                    # the (m', t + 1) run's factors with a nonzero word count
+                    run_factors, run_entries = [], []
+                    for s, length in _run_shape(p, m, t + 1, odd):
+                        mult = counts[s]
+                        if mult is None:
+                            mult = counts[s] = counter(s, d)
+                        if mult:
+                            run_factors.append(new(GroupFactor, ("witt", mult, length, ring, None,
+                                                                 None, m, s, nu)))
+                            run_entries.append(_wire_entry("witt", mult, length, ring_text, None,
+                                                           None, m, s, nu))
+                    size, sizes[m] = sizes[m], len(run_factors)
+                    factors[at:at + size] = run_factors
+                    entries[at:at + size] = run_entries
+                    grown += sizes[m] - size
                 at += sizes[m]
             starts[t] = at
         if n < first:

@@ -137,10 +137,14 @@ def ghost(p: int, coords: tuple[int, ...]) -> tuple[int, ...]:
 # the largest coefficient mod p^n, has at most that many bits.  A packed
 # element then has f slots of at most 5 * 256 + bitlen(2 f^2) bits, and the
 # Teichmueller lift takes one power to the exponent p^(n-1); at the ceiling
-# a ring over F_512 builds in about 0.1 s and multiplies in about 1 ms, and
-# the rings over F_243 and F_125 multiply in about 0.5 and 0.25 ms
-# (2-core x86-64, Python 3.11).
+# a ring over F_512 builds in about 0.1 s and multiplies in about 1 ms, the
+# rings over F_243 and F_125 multiply in about 0.6 and 0.2 ms, and those
+# over F_2, F_3, F_5, F_4 and F_8, which read several levels per readback
+# step, in under 0.1 ms (2-core x86-64, Python 3.11).
 MAX_WITT_BITS = 256
+
+# the most rows a readback table may have: q^k rows read k levels per step
+READ_ROWS = 64
 
 
 class WittRing:
@@ -148,8 +152,9 @@ class WittRing:
 
     A vector maps to sum_i p^i tau(a_i^(p^-i)) in (Z/p^n)[x]/(m), m the
     field modulus read over the integers and tau the Teichmueller lift.
-    Results are read back one digit at a time: what is left at level i is
-    tau(c) mod p with c = a_i^(p^-i); subtract tau(c) and divide by p.
+    Results are read back k digits at a time: what is left at level i is
+    sum_{t<k} p^t tau(c_t) mod p^k with c_t = a_(i+t)^(p^-(i+t)); subtract
+    that sum and divide by p^k.
 
     Packed layout (Kronecker substitution).  An element sum_k c_k x^k with
     every c_k >= 0 is the one integer sum_k c_k 2^(B k): f slots of B bits,
@@ -168,25 +173,40 @@ class WittRing:
     below f p^(4n).  Its f - 1 high slots are folded back, slot f + j
     times the packed x^(f+j) mod m (slots below p^n), which leaves slots
     below f p^(4n) + (f - 1) f p^(4n) p^n <= f^2 p^(5n).  Every bound is
-    at most S = f^2 p^(5n), and readback adds at most p^n to a slot, so
-    B = bitlen(2 S), as S + p^n <= 2 S.
+    at most S = f^2 p^(5n), and readback adds below p^(n+k) <= p^(2n) <= S
+    to a slot, so B = bitlen(2 S).
 
-    Readback.  At each level the residue code c is read from the slots
-    mod p, its digit looked up, and the packed p^n - tau(c) added.  A
-    slot s below S is congruent mod p to the coefficient it stands for,
-    so s + p^n - tau(c)_k is divisible by p, and it is at least 0 and
-    below S + p^n <= 2 S <= 2^B.  So dividing the whole integer exactly
-    by p divides every slot, and the new slots are below
-    (S + p^n) / p <= S, as p^n <= (p - 1) S.  The added p^n is p^(n-1)
-    after the division, a multiple of the modulus p^(n-1-i) the rest is
-    read under, so no slot is ever reduced mod p^n.  At f = 1 there is
-    one slot and no high slot to fold: it is reduced mod p^n once, and
-    each digit is its own residue.
+    Readback.  A step reads k levels, k <= n the most with q^k <= READ_ROWS
+    rows, and k = 1 if there is none.  The Teichmueller expansion in
+    Z_q/p^k is unique, so the codes c_0..c_(k-1) read at the next k levels
+    depend only on the slots mod p^k, and one table row per residue holds
+    their digits and the packed step p^(n+k) - sum_{t<k} p^t tau(c_t).
+    At f = 1 the residue is the one slot mod p^k, and at p = 2 and f > 1
+    the low k bits of the slots.  At odd p and f > 1, q >= 9 and k = 1: c is
+    read slot by slot mod p, and the step is p^n - tau(c).  The row read
+    has a v with the slots of the element mod p^k, so each slot s below S
+    plus its slot of the step is divisible by p^k, at least 0 and below
+    2 S < 2^B.
+    So dividing the whole integer exactly by p^k (a shift at p = 2)
+    divides every slot, and the new slots are below 2 S / p^k <= S.  The
+    added p^(n+k) is p^n after the division, a multiple of the modulus
+    p^(n-i-k) the rest is read under, so no slot is ever reduced mod p^n;
+    the last step drops its digits past n.  At f = 1 there is one slot and
+    no high slot to fold: it is reduced mod p^n once.
 
     Set-up computes in the same layout, and holds one packed lift per
     field element, shared by f tables, one per Frobenius twist: level i
-    looks a_i up in the table for the twist i mod f.
+    looks a_i up in the table for the twist i mod f.  A readback table is
+    likewise one per twist, that of its step's first level, and the
+    tables share their steps.
     """
+
+    # the readback branches set different attributes; with slots every ring
+    # has one layout, and attribute reads stay on the interpreter's fast
+    # path when ops alternate between rings of different branches
+    __slots__ = ("p", "n", "field", "zero", "one", "_pn", "_B", "_slot", "_high", "_low",
+                 "_folds", "_lifts_down", "_neg_base", "_steps", "_digits", "_shifts", "_k",
+                 "_pk", "_mask", "_reads")
 
     def __init__(self, p: int, n: int, f: int = 1):
         require_prime(p)
@@ -203,7 +223,7 @@ class WittRing:
         q = F.q
         self._pn = pn = p**n
         # slots hold any image, sum, negation or folded product, and the
-        # p^n readback adds to one
+        # readback step added to one
         B = (2 * f * f * p ** (5 * n)).bit_length()
         self._B, self._slot, self._high = B, (1 << B) - 1, B * f
         self._low = (1 << (B * f)) - 1
@@ -244,17 +264,49 @@ class WittRing:
         twists = [dict(enumerate(map(lift.__getitem__, frob[-k % f]))) for k in range(f)]
         # (level, its lift table), top level first, for Horner's rule
         self._lifts_down = [(i, twists[i % f]) for i in reversed(range(n))]
-        self._digits = [frob[i % f] for i in range(n)]
         self._neg_base = wide([p ** (2 * n)] * f)
-        # the packed p^n - tau(c), added at a level that reads c
-        top = wide([pn] * f)
-        self._steps = [top - t for t in lift]
-        # the residue code: for p = 2 the parity bits of the slots name it
-        # (those of a step, as tau(c) = c mod 2 and p^n is even), for odd p
-        # it is read slot by slot from the top
-        self._parity_bits = bits = wide([1] * f)
-        self._parities = {step & bits: c for c, step in enumerate(self._steps)} if p == 2 else None
-        self._shifts = shifts[::-1]
+        if p > 2 and f > 1:
+            # one level per step: the packed p^n - tau(c), added at a level
+            # that reads c, and the residue code read slot by slot from the top
+            top = wide([pn] * f)
+            self._steps = [top - t for t in lift]
+            self._digits = [frob[i % f] for i in range(n)]
+            self._shifts = shifts[::-1]
+        else:
+            # k levels per step, k <= n the most whose table has at most
+            # READ_ROWS rows
+            self._k = k = next(k for k in range(n, 0, -1) if k == 1 or q**k <= READ_ROWS)
+            # the sums v = sum_{t<k} p^t tau(c_t) over the q^k runs of k
+            # codes, built one digit at a time, take the q^k residues of the
+            # slots mod p^k once each: a run is keyed by its residue, and its
+            # step, the packed p^(n+k) - v, clears its k levels
+            runs = [((), 0)]
+            for t in range(k):
+                runs = [(cs + (c,), v + p**t * lift[c]) for cs, v in runs for c in range(q)]
+            if f == 1:
+                self._pk = pk = p**k
+                key = lambda v: v % pk
+            else:
+                # p = 2: the low k bits of the slots
+                self._mask = mask = wide([(1 << k) - 1] * f)
+                key = mask.__and__
+            top = wide([p ** (n + k)] * f)
+            runs = sorted((key(v), cs, top - v) for cs, v in runs)
+            keys = [r for r, _, _ in runs]
+
+            # a run's row at levels of twist j, j + 1, ...: its digits, cut to
+            # the levels below n, and its step; at f = 1 a list indexed by key
+            def table(j, cut):
+                levels = [frob[(j + t) % f] for t in range(cut)]
+                rows = [(tuple(map(list.__getitem__, levels, cs)), step) for _, cs, step in runs]
+                return rows if f == 1 else dict(zip(keys, rows))
+
+            tables = [table(j, k) for j in range(f)]
+            # the table of each step, by the twist of its first level; the
+            # last drops the digits past n
+            self._reads = [tables[s % f] for s in range(0, n, k)]
+            if n % k:
+                self._reads[-1] = table((n - n % k) % f, n % k)
 
     def _fold(self, x: int) -> int:
         # a product of two packed elements, its f - 1 high slots folded back
@@ -281,25 +333,24 @@ class WittRing:
 
     def _read(self, x: int) -> tuple[int, ...]:
         # the Teichmueller digits of a packed element with slots in
-        # [0, f^2 p^(5n))
-        p, steps, out = self.p, self._steps, []
+        # [0, f^2 p^(5n)), k levels per step
+        out = []
         if not self._folds:
-            # f = 1: one slot, and as the Frobenius of F_p is the identity
-            # each digit is its own residue
+            # f = 1: one slot, reduced mod p^n once
             x %= self._pn
-            for _ in range(self.n):
-                c = x % p
-                out.append(c)
-                x = (x + steps[c]) // p
-            return tuple(out)
-        if p == 2:
-            parities, bits = self._parities, self._parity_bits
-            for digits in self._digits:
-                c = parities[x & bits]
-                out.append(digits[c])
-                x = (x + steps[c]) >> 1
+            pk = self._pk
+            for rows in self._reads:
+                digits, step = rows[x % pk]
+                out += digits
+                x = (x + step) // pk
+        elif self.p == 2:
+            mask, k = self._mask, self._k
+            for rows in self._reads:
+                digits, step = rows[x & mask]
+                out += digits
+                x = (x + step) >> k
         else:
-            shifts, mask = self._shifts, self._slot
+            p, steps, shifts, mask = self.p, self._steps, self._shifts, self._slot
             for digits in self._digits:
                 c = 0
                 for s in shifts:

@@ -528,6 +528,22 @@ def test_no_assembly_reads_a_window(monkeypatch):
                     assert row.degree == degree
 
 
+def test_a_single_degree_builds_only_the_runs_it_emits(monkeypatch):
+    # a run that a later step replaces by the degree asked for is not built:
+    # each wire entry made is one the row carries
+    made = []
+    wire_entry = kcalc._wire_entry
+    monkeypatch.setattr(kcalc, "_wire_entry", lambda *fields: made.append(1) or wire_entry(*fields))
+    for q in (2, 3, 4, 5, 9):
+        ring = RingSpec.from_q(q)
+        for d in (1, 2, 3):
+            for single in (relative_k, axes_relative_k):
+                for degree in range(201):
+                    made.clear()
+                    row = single(ring, d, degree)
+                    assert len(made) == len(row._entries), (q, d, single.__name__, degree)
+
+
 @pytest.mark.parametrize("degree", (-3, -2, -1))
 def test_negative_degrees_are_empty_rows(degree):
     # the stepping loop makes a negative degree its own empty row; the

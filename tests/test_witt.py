@@ -234,7 +234,14 @@ def test_w6_builds_and_computes_without_the_polynomials(monkeypatch, f):
     assert len(set(multiples[:64])) == 64 and multiples[64] == ring.zero
 
 
-@pytest.mark.parametrize("p, n, f", GRID + [cell for cell in CEILING if cell[2] > 1])
+# readback reads k levels per step, k <= n the most with q^k <= 64 (k = 1 if
+# none): cells whose n is not a multiple of k (k = 6, 3, 2, 3, 2), whose n is
+# below f (k = 2, 1), and one with p > 64 at f = 1, where k = 1
+READ_EDGES = [(2, 7, 1), (3, 4, 1), (5, 3, 1), (2, 4, 2), (2, 5, 3), (2, 2, 3), (2, 3, 4),
+              (67, 2, 1)]
+
+
+@pytest.mark.parametrize("p, n, f", GRID + CEILING + READ_EDGES + [(3, 128, 1), (5, 85, 1)])
 def test_readback_needs_no_slot_reduced_mod_pn(p, n, f):
     # every slot a product, sum or negation can leave lies in [0, f^2 p^(5n));
     # reading such an integer must give the digits of the same element with
@@ -254,7 +261,7 @@ def test_readback_needs_no_slot_reduced_mod_pn(p, n, f):
 CHECK_WITT_CELLS = [(p, n, f) for p in (2, 3, 5) for n in (1, 2, 3) for f in (1, 2)]
 
 
-@pytest.mark.parametrize("p, n, f", CHECK_WITT_CELLS)
+@pytest.mark.parametrize("p, n, f", CHECK_WITT_CELLS + READ_EDGES)
 def test_lift_reads_back_every_vector(p, n, f):
     ring = witt_ring(p, n, f)
     for a in product(range(ring.field.q), repeat=n):
