@@ -241,7 +241,13 @@ READ_EDGES = [(2, 7, 1), (3, 4, 1), (5, 3, 1), (2, 4, 2), (2, 5, 3), (2, 2, 3), 
               (67, 2, 1)]
 
 
-@pytest.mark.parametrize("p, n, f", GRID + CEILING + READ_EDGES + [(3, 128, 1), (5, 85, 1)])
+def _new_cells(cells, seen):
+    # a cell already in seen runs there: listing it twice would rename both ids
+    return [cell for cell in cells if cell not in seen]
+
+
+@pytest.mark.parametrize("p, n, f", GRID + CEILING
+                         + _new_cells(READ_EDGES + [(3, 128, 1), (5, 85, 1)], GRID))
 def test_readback_needs_no_slot_reduced_mod_pn(p, n, f):
     # every slot a product, sum or negation can leave lies in [0, f^2 p^(5n));
     # reading such an integer must give the digits of the same element with
@@ -261,7 +267,8 @@ def test_readback_needs_no_slot_reduced_mod_pn(p, n, f):
 CHECK_WITT_CELLS = [(p, n, f) for p in (2, 3, 5) for n in (1, 2, 3) for f in (1, 2)]
 
 
-@pytest.mark.parametrize("p, n, f", CHECK_WITT_CELLS + READ_EDGES)
+@pytest.mark.parametrize("p, n, f",
+                         CHECK_WITT_CELLS + _new_cells(READ_EDGES, CHECK_WITT_CELLS))
 def test_lift_reads_back_every_vector(p, n, f):
     ring = witt_ring(p, n, f)
     for a in product(range(ring.field.q), repeat=n):
