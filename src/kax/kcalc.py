@@ -10,13 +10,12 @@ Z and Z/(q^i - 1) summands of the K-theory of the residue field.
 
 Branch structure, with r = floor(degree / 2): the factors range over the
 m' that have the parity of the degree and, for p odd, are coprime to p.
+The (m', t) run has one factor W_(t - v_p(s)) per word of period s, for
+each s | m' p^(t-1) of the parity of m', where the window t is:
 
-* even degree 2r:    t = t_ev(p, r, m'), s | m' p^(t-1) even,
-                     factor W_(t - v_p(s)).
-* odd degree 2r+1:   t = t_od(p, r, m'), s | m' p^(t-1),
-                     factor W_(t - v_p(s)).
-* p = 2, degree 2r+1, the one special case: s | m', one factor
-                     W_1 = R (nu = 0) per (s, word).
+* even degree 2r:    t_ev(p, r, m');
+* odd degree 2r+1:   t_od(p, r, m'), or 1 at p = 2, the one special case
+                     (_steps): s | m', and each factor is W_1 = R (nu = 0).
 
 A row is its (m', t) runs, m' ascending, which is t descending, then s
 ascending: the canonical order.  One loop makes every row, of a table or
@@ -104,13 +103,10 @@ class RingSpec(namedtuple("RingSpec", "kind p f name")):
         return RingSpec("finite_field", p, f)
 
     @staticmethod
-    @lru_cache(maxsize=64)
     def from_q(q: int) -> "RingSpec":
-        # the least factor of q is prime, so the scan that finds it is the
-        # one proof, and a request that reads its q again (the integral
-        # variant twice) finds it here
-        p, f = factor_prime_power(q)
-        return tuple.__new__(RingSpec, ("finite_field", p, f, ""))
+        # the scan of q is cached; at q = p^f, f > 1, p <= 10^7 is proved by
+        # its own scan, of at most sqrt(p) <= 3,163 divisions
+        return RingSpec("finite_field", *factor_prime_power(q))
 
 
 def parse_ring_spec(text: str) -> RingSpec:
@@ -215,17 +211,16 @@ def order(expr: GroupExpr) -> int | str:
 
 
 # a run's shape depends on neither d nor the ring, and every table and
-# single degree asks for the same (p, m', t, parity) again
+# single degree asks for the same (p, m', t) again
 @lru_cache(maxsize=4096)
-def _run_shape(p: int, m_prime: int, t: int, odd: bool) -> tuple[tuple[int, int], ...]:
-    """The (s, length) pairs of the (m', t) run with length > 0, s ascending."""
-    p2_odd = odd and p == 2
+def _run_shape(p: int, m_prime: int, t: int) -> tuple[tuple[int, int], ...]:
+    """The (s, t - v_p(s)) pairs of the (m', t) run with length > 0, for s |
+    m' p^(t-1) of the parity of m', s ascending."""
     shape = []
-    for s in divisors(m_prime if p2_odd else m_prime * p ** (t - 1)):
-        if not odd and s % 2:
+    for s in divisors(m_prime * p ** (t - 1)):
+        if s % 2 != m_prime % 2:
             continue
-        # length t - v_p(s), or 1 in the p = 2 odd case; RingSpec checked p
-        length, u = (1, 1) if p2_odd else (t, s)
+        length, u = t, s  # RingSpec checked p
         while u % p == 0:
             u //= p
             length -= 1
@@ -239,7 +234,7 @@ def _steps(p: int, n: int) -> tuple[tuple[int, int], ...]:
     """The moves of a running row from degree n - 2 to n, t descending: (t, m')
     for each t whose bound n // p^t moved, m' = n // p^t entering window
     t + 1, or m' = 0 where no run moves (m' is 0, of the other parity, or
-    divisible by an odd p).  A p = 2 odd run ignores t: only m' = n moves."""
+    divisible by an odd p).  At p = 2 and odd n, m' = n joins window 1 alone."""
     if n % 2 and p == 2:
         return ((0, n),)
     steps, t, m, m0 = [], 0, n, n - 2
@@ -301,7 +296,7 @@ def _rows(ring: RingSpec, d: int, variant: str, degrees: range,
                 if nu is not None or m * p ** (t + 1) > first:
                     # the (m', t + 1) run's factors with a nonzero word count
                     run_factors, run_entries = [], []
-                    for s, length in _run_shape(p, m, t + 1, odd):
+                    for s, length in _run_shape(p, m, t + 1):
                         mult = counts[s]
                         if mult is None:
                             mult = counts[s] = counter(s, d)

@@ -692,7 +692,6 @@ def test_a_request_proves_its_prime_once(capsys, monkeypatch, argv):
         return real(n)
 
     monkeypatch.setattr(numtheory, "_least_factor", counting)
-    RingSpec.from_q.cache_clear()
     numtheory._cached_least_factor.cache_clear()
     assert main(argv.format(q=q).split()) == 0
     assert scanned.count(q) == 1
@@ -726,7 +725,6 @@ def test_a_prime_proved_once_is_not_scanned_again(capsys, monkeypatch, argv, cod
         return real(n)
 
     monkeypatch.setattr(numtheory, "_least_factor", counting)
-    RingSpec.from_q.cache_clear()
     numtheory._cached_least_factor.cache_clear()
     assert main(argv.format(q=q).split()) == code
     assert getattr(capsys.readouterr(), stream) == text.format(q=q)

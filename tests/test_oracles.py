@@ -102,8 +102,8 @@ def test_check_dual_numbers_sees_a_split_witt_factor(monkeypatch):
     # the quotient W_2i / V_2 W_i does not (degree 9 has no length-2 factor)
     real = kcalc._run_shape
 
-    def split(p, m_prime, t, odd):
-        return tuple(piece for s, length in real(p, m_prime, t, odd)
+    def split(p, m_prime, t):
+        return tuple(piece for s, length in real(p, m_prime, t)
                      for piece in ([(s, 1), (s, 1)] if length == 2 else [(s, length)]))
 
     monkeypatch.setattr(kcalc, "_run_shape", split)
