@@ -181,9 +181,11 @@ class WittRing:
     Z_q/p^k is unique, so the codes c_0..c_(k-1) read at the next k levels
     depend only on the slots mod p^k, and one table row per residue holds
     their digits and the packed step p^(n+k) - sum_{t<k} p^t tau(c_t).
-    At f = 1 the residue is the one slot mod p^k, and at p = 2 and f > 1
-    the low k bits of the slots.  At odd p and f > 1, q >= 9 and k = 1: c is
-    read slot by slot mod p, and the step is p^n - tau(c).  The row read
+    Every ring reads through such tables, with one key per parity of p.
+    At p = 2 it is the low k bits of the slots.  At odd p it is the slots
+    mod p^k read as one base-p^k integer, slot j of weight p^(kj): the one
+    slot mod p^k at f = 1, and at f > 1, where q >= 9 and k = 1, the
+    residue's field code.  The row read
     has a v with the slots of the element mod p^k, so each slot s below S
     plus its slot of the step is divisible by p^k, at least 0 and below
     2 S < 2^B.
@@ -201,12 +203,12 @@ class WittRing:
     tables share their steps.
     """
 
-    # the readback branches set different attributes; with slots every ring
-    # has one layout, and attribute reads stay on the interpreter's fast
-    # path when ops alternate between rings of different branches
+    # the readback key sets _mask at p = 2 and _weights at odd p; with slots
+    # every ring has one layout, and attribute reads stay on the
+    # interpreter's fast path when ops alternate between rings of either key
     __slots__ = ("p", "n", "field", "zero", "one", "_pn", "_B", "_slot", "_high", "_low",
-                 "_folds", "_lifts_down", "_neg_base", "_steps", "_digits", "_shifts", "_k",
-                 "_pk", "_mask", "_reads")
+                 "_folds", "_lifts_down", "_neg_base", "_k", "_pk", "_mask", "_weights",
+                 "_reads")
 
     def __init__(self, p: int, n: int, f: int = 1):
         require_prime(p)
@@ -265,48 +267,43 @@ class WittRing:
         # (level, its lift table), top level first, for Horner's rule
         self._lifts_down = [(i, twists[i % f]) for i in reversed(range(n))]
         self._neg_base = wide([p ** (2 * n)] * f)
-        if p > 2 and f > 1:
-            # one level per step: the packed p^n - tau(c), added at a level
-            # that reads c, and the residue code read slot by slot from the top
-            top = wide([pn] * f)
-            self._steps = [top - t for t in lift]
-            self._digits = [frob[i % f] for i in range(n)]
-            self._shifts = shifts[::-1]
+        # k levels per step, k <= n the most whose table has at most
+        # READ_ROWS rows
+        self._k = k = next(k for k in range(n, 0, -1) if k == 1 or q**k <= READ_ROWS)
+        self._pk = pk = p**k
+        # the sums v = sum_{t<k} p^t tau(c_t) over the q^k runs of k codes,
+        # built one digit at a time, take the q^k residues of the slots mod
+        # p^k once each: a run is keyed by its residue, and its step, the
+        # packed p^(n+k) - v, clears its k levels
+        runs = [((), 0)]
+        for t in range(k):
+            runs = [(cs + (c,), v + p**t * lift[c]) for cs, v in runs for c in range(q)]
+        if p == 2:
+            # the low k bits of the slots
+            self._mask = mask = wide([(1 << k) - 1] * f)
+            key = mask.__and__
         else:
-            # k levels per step, k <= n the most whose table has at most
-            # READ_ROWS rows
-            self._k = k = next(k for k in range(n, 0, -1) if k == 1 or q**k <= READ_ROWS)
-            # the sums v = sum_{t<k} p^t tau(c_t) over the q^k runs of k
-            # codes, built one digit at a time, take the q^k residues of the
-            # slots mod p^k once each: a run is keyed by its residue, and its
-            # step, the packed p^(n+k) - v, clears its k levels
-            runs = [((), 0)]
-            for t in range(k):
-                runs = [(cs + (c,), v + p**t * lift[c]) for cs, v in runs for c in range(q)]
-            if f == 1:
-                self._pk = pk = p**k
-                key = lambda v: v % pk
-            else:
-                # p = 2: the low k bits of the slots
-                self._mask = mask = wide([(1 << k) - 1] * f)
-                key = mask.__and__
-            top = wide([p ** (n + k)] * f)
-            runs = sorted((key(v), cs, top - v) for cs, v in runs)
-            keys = [r for r, _, _ in runs]
+            # the slots mod p^k as one base-p^k integer, slot j of weight p^(kj)
+            self._weights = [(s, pk**j) for j, s in enumerate(shifts)][1:]
+            key = lambda v: sum((v >> s & self._slot) % pk * pk**j for j, s in enumerate(shifts))
+        top = wide([p ** (n + k)] * f)
+        runs = sorted((key(v), cs, top - v) for cs, v in runs)
+        keys = [r for r, _, _ in runs]
 
-            # a run's row at levels of twist j, j + 1, ...: its digits, cut to
-            # the levels below n, and its step; at f = 1 a list indexed by key
-            def table(j, cut):
-                levels = [frob[(j + t) % f] for t in range(cut)]
-                rows = [(tuple(map(list.__getitem__, levels, cs)), step) for _, cs, step in runs]
-                return rows if f == 1 else dict(zip(keys, rows))
+        # a run's row at levels of twist j, j + 1, ...: its digits, cut to
+        # the levels below n, and its step; a list indexed by key, but a dict
+        # at p = 2 and f > 1, whose keys are spread over the slots
+        def table(j, cut):
+            levels = [frob[(j + t) % f] for t in range(cut)]
+            rows = [(tuple(map(list.__getitem__, levels, cs)), step) for _, cs, step in runs]
+            return dict(zip(keys, rows)) if p == 2 and f > 1 else rows
 
-            tables = [table(j, k) for j in range(f)]
-            # the table of each step, by the twist of its first level; the
-            # last drops the digits past n
-            self._reads = [tables[s % f] for s in range(0, n, k)]
-            if n % k:
-                self._reads[-1] = table((n - n % k) % f, n % k)
+        tables = [table(j, k) for j in range(f)]
+        # the table of each step, by the twist of its first level; the last
+        # drops the digits past n
+        self._reads = [tables[s % f] for s in range(0, n, k)]
+        if n % k:
+            self._reads[-1] = table((n - n % k) % f, n % k)
 
     def _fold(self, x: int) -> int:
         # a product of two packed elements, its f - 1 high slots folded back
@@ -350,13 +347,15 @@ class WittRing:
                 out += digits
                 x = (x + step) >> k
         else:
-            p, steps, shifts, mask = self.p, self._steps, self._shifts, self._slot
-            for digits in self._digits:
-                c = 0
-                for s in shifts:
-                    c = c * p + (x >> s & mask) % p
-                out.append(digits[c])
-                x = (x + steps[c]) // p
+            # odd p, f > 1: k = 1, and the key is the residue's field code
+            p, slot, weights = self.p, self._slot, self._weights
+            for rows in self._reads:
+                key = (x & slot) % p
+                for s, w in weights:
+                    key += (x >> s & slot) % p * w
+                digits, step = rows[key]
+                out += digits
+                x = (x + step) // p
         return tuple(out)
 
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

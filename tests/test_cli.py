@@ -4,16 +4,20 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kax.cli import build_parser, cmd_table, main, render, render_text
 from kax.errors import BudgetExceededError, InternalError
 from kax.kcalc import GroupExpr, GroupFactor, RingSpec, group_expr_to_dict, parse_ring_spec, table
 from kax.tbounds import t_od
+from kax.witt import MAX_WITT_BITS
 from kax.words import DEFAULT_BUDGET, count_aperiodic, count_axes, enumerate_aperiodic, parse_word
 
 
@@ -333,6 +337,72 @@ def test_witt_rejects_a_length_or_degree_below_one(capsys, op, flag, value):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {flag} must be >= 1\n")
+
+
+# how a drawn argv's last vector is malformed: None leaves it well formed,
+# and "missing" drops it
+_VECTOR_FLAWS = [None] * 5 + ["count", "digits", "text", "huge", "empty", "missing"]
+
+
+@st.composite
+def witt_argvs(draw):
+    # the primes up to 13 and one composite; f with q <= 512 and one past;
+    # n small, at the ceiling n * ceil(log2 p) <= MAX_WITT_BITS and one past
+    op = draw(st.sampled_from(["add", "mul", "v", "r"]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 9]))
+    f = draw(st.integers(1, max(f for f in range(1, 10) if p**f <= 512) + 1))
+    top = MAX_WITT_BITS // (p - 1).bit_length()
+    n = draw(st.one_of(st.integers(1, 6), st.sampled_from([top, top + 1])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    vectors = [[":".join(str(rng.randrange(p)) for _ in range(f)) for _ in range(n)]
+               for _ in range(2 if op in ("add", "mul") else 1)]
+    flaw, last = draw(st.sampled_from(_VECTOR_FLAWS)), vectors[-1]
+    if flaw == "count":
+        last.append(last[0])
+    elif flaw == "digits":
+        last[0] += ":0"
+    elif flaw == "text":
+        last[-1] = "x"
+    elif flaw == "huge":
+        last[0] = "9" * 5000
+    elif flaw == "empty":
+        last.clear()
+    elif flaw == "missing":
+        vectors.pop()
+    return ["witt", op, "--p", str(p), "--n", str(n), "--f", str(f),
+            *(",".join(v) for v in vectors)]
+
+
+class _Deadline(Exception):
+    pass
+
+
+def _raise_deadline(signum, frame):
+    raise _Deadline
+
+
+# the ceiling ring over F_49, and the first n past the ceiling over F_512
+@example(["witt", "mul", "--p", "7", "--n", "85", "--f", "2", *[",".join(["6:6"] * 85)] * 2])
+@example(["witt", "add", "--p", "2", "--n", "257", "--f", "9",
+          *[",".join(["1:0:0:0:0:0:0:0:1"] * 257)] * 2])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(witt_argvs())
+def test_every_witt_argv_answers_or_fails_cleanly(argv):
+    # in-process under a 5 s deadline: an answer on stdout alone, or a
+    # usage (2) or budget (3) error on stderr alone, never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    handler = signal.signal(signal.SIGALRM, _raise_deadline)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in out + err
+    assert err == "" if code == 0 else out == ""
 
 
 def test_usage_errors(capsys):

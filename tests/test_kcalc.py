@@ -126,8 +126,8 @@ def test_axes_examples():
     assert axes_relative_k(F3, 3, 1).is_trivial
 
 
-# p = 2 prints too small a group in even degrees: the axes rule at p = 2 is ROADMAP item 3
-_AXES_P2 = pytest.mark.xfail(strict=True, reason="axes variant at p = 2, ROADMAP item 3")
+# p = 2 prints too small a group in even degrees: the p = 2 run rule is ROADMAP item 1
+_AXES_P2 = pytest.mark.xfail(strict=True, reason="axes variant at p = 2, ROADMAP item 1")
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49] + [

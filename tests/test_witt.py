@@ -184,11 +184,19 @@ def test_p_fold_sum_of_one_is_V_of_one():
         assert total == verschiebung((1,))
 
 
-@pytest.mark.parametrize("p, n, f", [(2, 4, 1), (2, 4, 2), (2, 5, 1), (2, 5, 2),
-                                     (3, 4, 1), (3, 4, 2)])
+def _new_cells(cells, seen):
+    # a cell already in seen runs there: listing it twice would rename both ids
+    return [cell for cell in cells if cell not in seen]
+
+
+PAST_GATE_03 = [(2, 4, 1), (2, 4, 2), (2, 5, 1), (2, 5, 2), (3, 4, 1), (3, 4, 2)]
+
+
+@pytest.mark.parametrize("p, n, f", PAST_GATE_03 + _new_cells(
+    [(7, 2, 1), (7, 2, 2), (7, 3, 2), (11, 2, 2), (13, 2, 2)], PAST_GATE_03))
 def test_ring_matches_the_witt_polynomials_past_gate_03(p, n, f):
     # the cells past gate 03's n <= 3 grid whose polynomials still solve
-    # in a fraction of a second
+    # in a fraction of a second, and odd p past 5, at f = 1 and f > 1
     ring = witt_ring(p, n, f)
     rng = random.Random(p * 100 + n * 10 + f)
     for _ in range(150):
@@ -241,13 +249,9 @@ READ_EDGES = [(2, 7, 1), (3, 4, 1), (5, 3, 1), (2, 4, 2), (2, 5, 3), (2, 2, 3), 
               (67, 2, 1)]
 
 
-def _new_cells(cells, seen):
-    # a cell already in seen runs there: listing it twice would rename both ids
-    return [cell for cell in cells if cell not in seen]
-
-
 @pytest.mark.parametrize("p, n, f", GRID + CEILING
-                         + _new_cells(READ_EDGES + [(3, 128, 1), (5, 85, 1)], GRID))
+                         + _new_cells(READ_EDGES + [(3, 128, 1), (5, 85, 1), (7, 3, 2),
+                                                    (7, 85, 2)], GRID))
 def test_readback_needs_no_slot_reduced_mod_pn(p, n, f):
     # every slot a product, sum or negation can leave lies in [0, f^2 p^(5n));
     # reading such an integer must give the digits of the same element with
@@ -268,7 +272,9 @@ CHECK_WITT_CELLS = [(p, n, f) for p in (2, 3, 5) for n in (1, 2, 3) for f in (1,
 
 
 @pytest.mark.parametrize("p, n, f",
-                         CHECK_WITT_CELLS + _new_cells(READ_EDGES, CHECK_WITT_CELLS))
+                         CHECK_WITT_CELLS + _new_cells(
+                             READ_EDGES + [(3, 2, 3), (5, 1, 3), (7, 2, 2), (11, 1, 2)],
+                             CHECK_WITT_CELLS))
 def test_lift_reads_back_every_vector(p, n, f):
     ring = witt_ring(p, n, f)
     for a in product(range(ring.field.q), repeat=n):
