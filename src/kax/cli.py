@@ -231,6 +231,10 @@ def _compute_one(ring: RingSpec, args, degree: int) -> GroupExpr:
     if args.variant == "axes":
         return kcalc.axes_relative_k(ring, args.d, degree)
     if args.variant == "dual":
+        # the dual numbers take d = 1, but a --d below 1 is refused as for
+        # every variant
+        if args.d < 1:
+            raise ValueError("d must be >= 1")
         return kcalc.dual_numbers_k(ring, degree)
     return kcalc.relative_k(ring, args.d, degree)
 

@@ -256,8 +256,6 @@ def _rows(ring: RingSpec, d: int, variant: str, degrees: range,
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     counter = count_axes if variant == "axes" else count_aperiodic
-    if variant == "dual":
-        d = 1
     integral = variant == "integral"
     if integral:
         ring = RingSpec.from_q(ring.q)
@@ -270,6 +268,8 @@ def _rows(ring: RingSpec, d: int, variant: str, degrees: range,
         completeness = "p-complete"
     if d < 1:
         raise ValueError("d must be >= 1")
+    if variant == "dual":
+        d = 1
     p = ring.p
     ring_text = _ring_to_str(ring)
     new = tuple.__new__

@@ -11,19 +11,18 @@ the length.  Two counting families live here:
   proper-coloring count of a u-cycle.
 
 Both counts are verified against direct enumeration by the oracle suite.
-Every enumeration runs on one iterative Fredricksen-Kemp-Maier walk over
-the Lyndon words of length s (the least rotations of the period-s
-necklaces), so its stack depth does not grow with s.  For the axes family
-the walk prunes as it goes: it never extends a prefix that holds two
-adjacent equal letters, so it visits only the Lyndon prefixes of axes
-words rather than filtering every Lyndon word afterwards.
-
-The oracle count_by_enumeration runs its own copy of that walk, which
-stops at half length.  Call a prefix the walk has just stepped, a Lyndon
-word u of length m, fresh; the walk fills it to w of length s by
-w[i] = u[i mod m], and each step at a position t >= m of w (a letter above
-w[t], and for axes not equal to w[t - 1]) makes a fresh prefix of length
-t + 1 below u.  The leaves are the fresh prefixes of length s.
+One iterative Fredricksen-Kemp-Maier walk over Lyndon words serves every
+enumeration, at two depths: to s letters to list the Lyndon words of
+length s (the least rotations of the period-s necklaces), and to s // 2
+for the oracle count_by_enumeration; its stack depth does not grow with s.
+For the axes family the walk prunes as it goes: it never extends a prefix
+that holds two adjacent equal letters, so it visits only the Lyndon
+prefixes of axes words rather than filtering every Lyndon word afterwards.
+Call a prefix the walk to depth s has just stepped, a Lyndon word u of
+length m, fresh; the walk fills it to w of length s by w[i] = u[i mod m],
+and each step at a position t >= m of w (a letter above w[t], and for axes
+not equal to w[t - 1]) makes a fresh prefix of length t + 1 below u.  The
+leaves are the fresh prefixes of length s.
 
 Half-length lemma.  If 2m >= s (and m >= 2 for axes), the subtree below u
 depends only on x = u[:s - m]: it holds cs[s - m] leaves, where cs[0] = 1,
@@ -39,17 +38,17 @@ its first s - t - 1 letters, which are x[:s - t - 1] as s - t - 1 < s - m;
 its last letter lies above x[0] again.  By induction on s - m its subtree
 holds cs[s - t - 1] leaves, and summing over t gives cs[s - m].
 
-So the counting walk expands only the fresh prefixes of length at most
-h = s // 2.  For each it adds, at every position t >= h of its fill, the
-steps at t times cs[s - t - 1], as the prefix made there has length
-t + 1 > s / 2.  It keeps cs beside w and recomputes only the entries whose
-letters its last step changed, so it visits about the Lyndon words of
-length at most s / 2, instead of the Lyndon words of length at most s.
-cs[j] is still a count of leaves of the walk: each term is a number of
-steps times the leaves below each of them, with no signs and no division,
-so a wrong step rule changes it as it would the word-by-word walk.  It
-never uses the Mobius sums, and stays an independent check of
-count_aperiodic / count_axes.
+So the counting walk stops at depth h = s // 2: it expands only the fresh
+prefixes of length at most h, and for each it adds, at every position
+t >= h of its fill to s letters, the steps at t times cs[s - t - 1], as
+the prefix made there has length t + 1 > s / 2.  It keeps cs beside w and
+recomputes only the entries whose letters its last step changed, so it
+visits about the Lyndon words of length at most s / 2, instead of the
+Lyndon words of length at most s.  cs[j] is still a count of leaves of
+the walk: each term is a number of steps times the leaves below each of
+them, with no signs and no division, so a wrong step rule changes it as it
+would the word-by-word walk.  It never uses the Mobius sums, and stays an
+independent check of count_aperiodic / count_axes.
 """
 
 from __future__ import annotations
@@ -175,11 +174,12 @@ def count_axes(s: int, d: int) -> int:
     return _mobius_count("count_axes", s, d, lambda u: (d - 1) ** u + (-1) ** u * (d - 1))
 
 
-def _lyndon_words(s: int, d: int, axes: bool = False) -> Iterator[Word]:
+def _walk(d: int, axes: bool, depth: int) -> Iterator[list[int]]:
     # Fredricksen-Kemp-Maier walk in Duval's iterative form: w runs through
-    # the Lyndon words of length <= s on d letters in lexicographic order,
-    # in constant amortised time per word; those of length exactly s are the
-    # least rotations of the period-s necklaces.
+    # the Lyndon words of length <= depth on d letters in lexicographic
+    # order, in constant amortised time per word.  w is yielded live, as
+    # each stepped prefix, and filled by its period to depth letters after
+    # the yield; a consumer reads it before asking for the next step.
     #
     # With axes set, the walk never extends a prefix that holds two adjacent
     # equal letters: a freshly stepped letter equal to its left neighbour is
@@ -189,19 +189,29 @@ def _lyndon_words(s: int, d: int, axes: bool = False) -> Iterator[Word]:
     # skips only subtrees in which every word holds an adjacent repeat.  A
     # Lyndon word of length m >= 2 ends above its first letter, so neither
     # its cyclic wrap nor its fill by period m holds a repeat; at m = 1 both
-    # do, so that word is not yielded and its fill stops at the repeat.
+    # do, so that word's fill stops at the repeat.
+    top, first = d - 1, min(depth, 2) if axes else depth
     w = [-1]
     while w:
         w[-1] += 1
         m = len(w)
         if not (axes and m > 1 and w[-1] == w[-2]):
-            if m == s and not (axes and m == 1):
-                yield tuple(w)
-            fill = min(s, 2) if axes and m == 1 else s
-            while len(w) < fill:
-                w.append(w[-m])
-        while w and w[-1] == d - 1:
+            yield w
+            fill = first if m == 1 else depth
+            if m < fill:
+                w *= fill // m + 1
+                del w[fill:]
+        while w and w[-1] == top:
             w.pop()
+
+
+def _lyndon_words(s: int, d: int, axes: bool = False) -> Iterator[Word]:
+    # the walk's words of length s, the least rotations of the period-s
+    # necklaces; a one-letter axes word is its own cyclic neighbour
+    if not (axes and s == 1):
+        for w in _walk(d, axes, s):
+            if len(w) == s:
+                yield tuple(w)
 
 
 def _walk_prefixes(lo: int, hi: int, d: int, axes: bool, budget: int) -> int:
@@ -266,19 +276,19 @@ def count_by_enumeration(
     """Enumeration-backed count, without materializing the word list.
 
     This is the independent oracle for count_aperiodic / count_axes: it
-    counts the leaves of the walk of _lyndon_words and never touches the
-    Mobius formulas.  Half-length lemma (proved in the module docstring):
-    the subtree below a fresh prefix u of length m >= s / 2 holds
-    cs[s - m] leaves, a sum of products of step counts of x = u[:s - m]
-    that groups equal subtrees but still counts each leaf once.  So the
-    walk expands only the fresh prefixes of length m <= h = s // 2, and
-    counts each subtree below a prefix of length > s / 2 from its first
-    letters.  For a walked prefix filled to w, wt[t] is the number of
-    steps at position t of w; at t = 0 it is taken against a left
-    neighbour above w[0], as after the last letter of a Lyndon word, which
-    makes wt[:j] the weights of x = w[:j].  The prefix made by a step at
-    t >= h has x = w[:s - t - 1], so the walk adds wt[t] * cs[s - t - 1]
-    for every t >= h.
+    counts the leaves of the walk to depth s, the words _lyndon_words
+    lists, and never touches the Mobius formulas.  Half-length lemma
+    (proved in the module docstring): the subtree below a fresh prefix u
+    of length m >= s / 2 holds cs[s - m] leaves, a sum of products of step
+    counts of x = u[:s - m] that groups equal subtrees but still counts
+    each leaf once.  So it runs the same walk, _walk, to depth h = s // 2
+    only, and counts each subtree below a prefix of length > s / 2 from
+    its first letters.  For a walked prefix filled by its period to w of
+    s letters, wt[t] is the number of steps at position t of w; at t = 0
+    it is taken against a left neighbour above w[0], as after the last
+    letter of a Lyndon word, which makes wt[:j] the weights of x = w[:j].
+    The prefix made by a step at t >= h has x = w[:s - t - 1], so the walk
+    adds wt[t] * cs[s - t - 1] for every t >= h.
 
     Every step that is not an adjacent repeat, whatever its length
     m <= h, takes one rule: set wt[m - 1] for the letter just stepped,
@@ -310,38 +320,27 @@ def count_by_enumeration(
     rc = [1] * n
     valid = 1
     count = 0
-    w = [-1]
-    while w:
-        v = w[-1] + 1
-        w[-1] = v
-        m = len(w)
-        # an adjacent repeat is neither counted nor extended
-        if not (axes and m > 1 and v == w[-2]):
-            wt[m - 1] = top - v - (axes and (m == 1 or w[-2] > v))
-            del wt[m:]
-            if axes and m == 1:
-                # the fill stops at the repeat w[0] w[0], so only
-                # position 1 takes steps
-                wt.append(top - v)
-                wt += [0] * (s - 2)
-                if h > 1:
-                    w.append(v)
-            else:
-                # the fill repeats the prefix, and so do its weights: at
-                # t = m the left neighbour is the prefix's last letter,
-                # which lies above w[0]
-                wt *= s // m + 1
-                del wt[s:]
-                w *= h // m + 1
-                del w[h:]
-            if valid > m:
-                valid = m
-            tail = wt[h:]
-            if any(tail):
-                for j in range(valid, n):
-                    rc[n - 1 - j] = sum(map(mul, wt[:j], rc[n - j:]))
-                valid = n
-                count += sum(map(mul, tail, rc))
-        while w and w[-1] == top:
-            w.pop()
+    for w in _walk(d, axes, h):
+        m, v = len(w), w[-1]
+        wt[m - 1] = top - v - (axes and (m == 1 or w[-2] > v))
+        del wt[m:]
+        if axes and m == 1:
+            # the fill stops at the repeat w[0] w[0], so only position 1
+            # takes steps
+            wt.append(top - v)
+            wt += [0] * (s - 2)
+        else:
+            # the fill repeats the prefix, and so do its weights: at t = m
+            # the left neighbour is the prefix's last letter, which lies
+            # above w[0]
+            wt *= s // m + 1
+            del wt[s:]
+        if valid > m:
+            valid = m
+        tail = wt[h:]
+        if any(tail):
+            for j in range(valid, n):
+                rc[n - 1 - j] = sum(map(mul, wt[:j], rc[n - j:]))
+            valid = n
+            count += sum(map(mul, tail, rc))
     return count

@@ -381,13 +381,7 @@ def _raise_deadline(signum, frame):
     raise _Deadline
 
 
-# the ceiling ring over F_49, and the first n past the ceiling over F_512
-@example(["witt", "mul", "--p", "7", "--n", "85", "--f", "2", *[",".join(["6:6"] * 85)] * 2])
-@example(["witt", "add", "--p", "2", "--n", "257", "--f", "9",
-          *[",".join(["1:0:0:0:0:0:0:0:1"] * 257)] * 2])
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(witt_argvs())
-def test_every_witt_argv_answers_or_fails_cleanly(argv):
+def _answers_or_fails_cleanly(argv):
     # in-process under a 5 s deadline: an answer on stdout alone, or a
     # usage (2) or budget (3) error on stderr alone, never a traceback
     out, err = io.StringIO(), io.StringIO()
@@ -403,6 +397,55 @@ def test_every_witt_argv_answers_or_fails_cleanly(argv):
     assert code in (0, 2, 3), (code, err)
     assert "Traceback" not in out + err
     assert err == "" if code == 0 else out == ""
+
+
+# the ceiling ring over F_49, and the first n past the ceiling over F_512
+@example(["witt", "mul", "--p", "7", "--n", "85", "--f", "2", *[",".join(["6:6"] * 85)] * 2])
+@example(["witt", "add", "--p", "2", "--n", "257", "--f", "9",
+          *[",".join(["1:0:0:0:0:0:0:0:1"] * 257)] * 2])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(witt_argvs())
+def test_every_witt_argv_answers_or_fails_cleanly(argv):
+    _answers_or_fails_cleanly(argv)
+
+
+@st.composite
+def count_words_argvs(draw):
+    # s small, and on each side of the divisor scan's edge under a budget of
+    # 5,000: isqrt(s) = 5000 answers, 5001 is refused; d small, at the
+    # switch from letters to dotted integers, large, and at the int-to-str
+    # limit of 4,300 digits and one past it, which argparse refuses
+    s = draw(st.one_of(st.integers(0, 60), st.sampled_from([5001**2 - 1, 5001**2])))
+    d = draw(st.one_of(st.integers(0, 40).map(str),
+                       st.sampled_from(["26", "27", "1000000", "9" * 4300, "1" + "0" * 4300])))
+    flags = [flag for flag in ("--axes", "--list") if draw(st.booleans())]
+    fmt = draw(st.sampled_from(["text", "json"]))
+    return ["count-words", "--s", str(s), "--d", d, *flags, "--format", fmt]
+
+
+# the largest axes listing under the default budget, and the one-letter
+# axes word, which is its own cyclic neighbour
+@example(["count-words", "--s", "14", "--d", "4", "--axes", "--list"])
+@example(["count-words", "--s", "1", "--d", "1", "--axes", "--list"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(count_words_argvs())
+def test_every_count_words_argv_answers_or_fails_cleanly(argv):
+    # a budget of 5,000 keeps every walk it allows to milliseconds and
+    # draws its refusals
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("KAX_BUDGET", "5000")
+        _answers_or_fails_cleanly(argv)
+
+
+@pytest.mark.parametrize("command", ["compute --degree 3", "table --max-degree 3"])
+@pytest.mark.parametrize("variant", ["square", "axes", "dual"])
+@pytest.mark.parametrize("d", ["0", "-3"])
+def test_a_d_below_one_is_a_usage_error_for_every_variant(capsys, command, variant, d):
+    # the dual numbers take d = 1 whatever --d says, but not a --d below 1
+    command, *degree = command.split()
+    assert main([command, "--p", "3", "--ring", "Fq:3", "--variant", variant,
+                 "--d", d, *degree]) == 2
+    assert capsys.readouterr() == ("", "error: d must be >= 1\n")
 
 
 def test_usage_errors(capsys):

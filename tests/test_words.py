@@ -13,6 +13,7 @@ from kax.words import (
     CyclicWord,
     DEFAULT_BUDGET,
     _lyndon_words,
+    _walk,
     canonicalize,
     count_aperiodic,
     count_axes,
@@ -127,6 +128,20 @@ def _filtered_lyndon_words(s, d):
             w.append(w[-m])
         while w and w[-1] == d - 1:
             w.pop()
+
+
+def test_walk_steps_through_the_lyndon_words_in_order():
+    # the walk both the listing and the counting oracle run: the copies of
+    # what it yields are every Lyndon word of length 1..depth (strictly less
+    # than each proper rotation), for axes those with no two adjacent equal
+    # letters, in lexicographic order, each once
+    for d in range(1, 5):
+        lyndon = [x for m in range(1, 8) for x in product(range(d), repeat=m)
+                  if all(x < x[i:] + x[:i] for i in range(1, m))]
+        for axes, depth in product((False, True), range(1, 8)):
+            expected = sorted(x for x in lyndon if len(x) <= depth
+                              and not (axes and any(a == b for a, b in zip(x, x[1:]))))
+            assert [tuple(w) for w in _walk(d, axes, depth)] == expected, (d, axes, depth)
 
 
 def test_axes_walk_matches_filtered_walk():
