@@ -200,7 +200,8 @@ def _add_common_compute_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["text", "json", "latex"], default="text")
 
 
-def _resolve_ring(args) -> RingSpec:
+def _resolve_ring(args) -> tuple[RingSpec, str]:
+    """The ring of --ring and the kcalc variant the flags name."""
     from .kcalc import parse_ring_spec
 
     # parsing proved ring.p prime, so --p needs its own proof only when it
@@ -213,30 +214,12 @@ def _resolve_ring(args) -> RingSpec:
         raise KaxError("--integral requires a finite field ring (Fq:<q>)")
     if args.integral and args.variant != "square":
         raise KaxError(f"--integral cannot be combined with --variant {args.variant}")
-    return ring
+    return ring, "integral" if args.integral else args.variant
 
 
 def _check_degree(degree: int) -> None:
     if degree > MAX_DEGREE:
         raise KaxError(f"degree {degree} exceeds ceiling {MAX_DEGREE}")
-
-
-def _compute_one(ring: RingSpec, args, degree: int) -> GroupExpr:
-    from . import kcalc
-
-    if args.integral:
-        return kcalc.integral_k_finite_field(
-            ring.q, args.d, degree, args.quillen_exponent
-        )
-    if args.variant == "axes":
-        return kcalc.axes_relative_k(ring, args.d, degree)
-    if args.variant == "dual":
-        # the dual numbers take d = 1, but a --d below 1 is refused as for
-        # every variant
-        if args.d < 1:
-            raise ValueError("d must be >= 1")
-        return kcalc.dual_numbers_k(ring, degree)
-    return kcalc.relative_k(ring, args.d, degree)
 
 
 def _dual_report_lines(ring: RingSpec, expr: GroupExpr) -> list[str]:
@@ -255,12 +238,14 @@ def _dual_report_lines(ring: RingSpec, expr: GroupExpr) -> list[str]:
 
 
 def cmd_compute(args) -> int:
-    ring = _resolve_ring(args)
+    from .kcalc import k_group
+
+    ring, variant = _resolve_ring(args)
     _check_degree(args.degree)
-    expr = _compute_one(ring, args, args.degree)
+    expr = k_group(ring, args.d, args.degree, variant, args.quillen_exponent)
     # build every line first, so a line that fails leaves no partial output
     lines = [render(expr, args.format)]
-    if args.variant == "dual" and args.format == "text":
+    if variant == "dual" and args.format == "text":
         lines += _dual_report_lines(ring, expr)
     print(*lines, sep="\n")
     return 0
@@ -269,9 +254,8 @@ def cmd_compute(args) -> int:
 def cmd_table(args) -> int:
     from .kcalc import table
 
-    ring = _resolve_ring(args)
+    ring, variant = _resolve_ring(args)
     _check_degree(args.max_degree)
-    variant = "integral" if args.integral else args.variant
     exprs = table(ring, args.d, args.max_degree, variant, args.quillen_exponent)
     # render every row first, so a row that fails leaves no partial table;
     # print writes the rows one by one, with no second copy of the table

@@ -1,12 +1,14 @@
 """Assembly of the K-group formulas into structured abelian-group values.
 
-relative_k implements the closed-form description of the p-adic relative
-K-groups of R[x_1..x_d]/(x_1..x_d)^2 for R a perfectoid coefficient ring:
-a finite product of truncated Witt vector groups W_k(R), indexed by an
-integer m', a divisor s, and a cyclic word of period s.  The axes variant
-swaps the word count for the adjacent-distinct count, the dual-numbers
-variant is d = 1, and the integral variant (finite fields only) adds the
-Z and Z/(q^i - 1) summands of the K-theory of the residue field.
+k_group (one degree) and table (degrees 0..n) implement the closed-form
+description of the p-adic relative K-groups of R[x_1..x_d]/(x_1..x_d)^2
+for R a perfectoid coefficient ring: a finite product of truncated Witt
+vector groups W_k(R), indexed by an integer m', a divisor s, and a cyclic
+word of period s.  That is the "square" variant; the "axes" variant swaps
+the word count for the adjacent-distinct count, the "dual" variant is
+d = 1, and the "integral" variant (finite fields only) adds the Z and
+Z/(q^i - 1) summands of the K-theory of the residue field.  relative_k,
+axes_relative_k and integral_k_finite_field are k_group at one variant.
 
 Branch structure, with r = floor(degree / 2): the factors range over the
 m' that have the parity of the degree and, for p odd, are coprime to p.
@@ -249,7 +251,8 @@ def _rows(ring: RingSpec, d: int, variant: str, degrees: range,
           ) -> list[GroupExpr]:
     """The GroupExpr of each degree in degrees, carrying its wire entries: the
     one map from a variant to its word count, its d (the dual numbers are
-    d = 1) and its Quillen summands.  Each parity of degrees steps its running
+    d = 1) and its Quillen summands, for table() and k_group() alike.  Each
+    parity of degrees steps its running
     row by _steps from the empty row, so a single degree n, range(n, n + 1, 2),
     steps n's parity alone; a run whose m' is above m_prime_limit stays empty,
     and a run that a later step replaces before degrees' first is not built."""
@@ -258,6 +261,8 @@ def _rows(ring: RingSpec, d: int, variant: str, degrees: range,
     counter = count_axes if variant == "axes" else count_aperiodic
     integral = variant == "integral"
     if integral:
+        if degrees.start < 0:
+            raise ValueError("integral K-groups are computed for degree >= 0")
         ring = RingSpec.from_q(ring.q)
         completeness = "integral"
     elif ring.kind in ("finite_field", "perfect_fp"):
@@ -325,23 +330,27 @@ def _rows(ring: RingSpec, d: int, variant: str, degrees: range,
     return exprs
 
 
+def k_group(ring: RingSpec, d: int, degree: int, variant: str = "square",
+            quillen_convention: str = "standard", m_prime_limit: int | None = None
+            ) -> GroupExpr:
+    """K_degree of the variant over ring in d variables: the single-degree
+    twin of table(), with the factors of m' above m_prime_limit left out."""
+    return _rows(ring, d, variant, range(degree, degree + 1, 2), quillen_convention,
+                 m_prime_limit)[0]
+
+
 def relative_k(
     ring: RingSpec, d: int, degree: int, m_prime_limit: int | None = None
 ) -> GroupExpr:
     """Relative p-adic K-group of the square-zero extension in d variables."""
-    return _rows(ring, d, "square", range(degree, degree + 1, 2), m_prime_limit=m_prime_limit)[0]
+    return k_group(ring, d, degree, m_prime_limit=m_prime_limit)
 
 
 def axes_relative_k(
     ring: RingSpec, d: int, degree: int, m_prime_limit: int | None = None
 ) -> GroupExpr:
     """Coordinate-axes variant: word counts restricted to adjacent-distinct."""
-    return _rows(ring, d, "axes", range(degree, degree + 1, 2), m_prime_limit=m_prime_limit)[0]
-
-
-def dual_numbers_k(ring: RingSpec, degree: int) -> GroupExpr:
-    """Dual numbers R[x]/x^2: the d = 1 specialization."""
-    return relative_k(ring, 1, degree)
+    return k_group(ring, d, degree, "axes", m_prime_limit=m_prime_limit)
 
 
 QUILLEN_CONVENTIONS = ("standard", "paper")
@@ -380,10 +389,7 @@ def integral_k_finite_field(
     m_prime_limit: int | None = None,
 ) -> GroupExpr:
     """Integral K-group over F_q: relative part plus the K(F_q) summand."""
-    if degree < 0:
-        raise ValueError("integral K-groups are computed for degree >= 0")
-    return _rows(RingSpec.from_q(q), d, "integral", range(degree, degree + 1, 2),
-                 quillen_convention, m_prime_limit)[0]
+    return k_group(RingSpec.from_q(q), d, degree, "integral", quillen_convention, m_prime_limit)
 
 
 def table(

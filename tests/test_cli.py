@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -8,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -96,6 +98,41 @@ def test_compute_symbolic_ring(capsys):
     assert main(["compute", "--p", "3", "--d", "2", "--ring", "perfect:k:3",
                  "--degree", "1"]) == 0
     assert capsys.readouterr().out == "k^2 (symbolic order)\n"
+
+
+# sha256 of (argv, exit code, stdout, stderr) of every compute request of
+# this grid in turn: no rewrite of the variant map, assembly or rendering
+# may change one byte of these.  Its d and degree pairs hold a d below 1 in
+# each variant, negative and zero degrees, and a degree past MAX_DEGREE.
+COMPUTE_GRID = (
+    ("Fq:2", "Fq:4", "Fq:9", "perfectoid:R:3", "zpcycl:5"),
+    (["--variant", "square"], ["--variant", "axes"], ["--variant", "dual"], ["--integral"],
+     ["--integral", "--quillen-exponent", "paper"], ["--integral", "--variant", "axes"]),
+    ((0, -1), (0, 5), (1, -1), (1, 0), (1, 5), (3, 20), (3, 201)),
+    ("text", "json", "latex"),
+)
+COMPUTE_GRID_DIGEST = "de72d54975330aeabc1cdf290408a21994a0b3ab3cc11cc7b8312f5a055c4e6b"
+
+
+def test_compute_output_bytes_are_pinned():
+    digest, refusals = hashlib.sha256(), set()
+    for ring, flags, (d, degree), fmt in itertools.product(*COMPUTE_GRID):
+        argv = ["compute", "--p", str(parse_ring_spec(ring).p), "--d", str(d), "--ring", ring,
+                *flags, "--degree", str(degree), "--format", fmt]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
+        if code:
+            refusals.add((flags[-1], err.getvalue()))
+    assert digest.hexdigest() == COMPUTE_GRID_DIGEST
+    # every class of usage error compute has for these flags
+    assert {(flag, "error: d must be >= 1\n") for flag in ("square", "axes", "dual",
+                                                         "--integral", "paper")} <= refusals
+    assert {("--integral", "error: integral K-groups are computed for degree >= 0\n"),
+            ("--integral", "error: --integral requires a finite field ring (Fq:<q>)\n"),
+            ("axes", "error: --integral cannot be combined with --variant axes\n"),
+            ("square", "error: degree 201 exceeds ceiling 200\n")} <= refusals
 
 
 def test_table(capsys):
@@ -435,6 +472,52 @@ def test_every_count_words_argv_answers_or_fails_cleanly(argv):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("KAX_BUDGET", "5000")
         _answers_or_fails_cleanly(argv)
+
+
+_PRIMES = [n for n in range(2, 4094) if all(n % k for k in range(2, isqrt(n) + 1))]
+
+# how a drawn compute or table argv's ring and --p disagree: None leaves
+# them well formed
+_RING_FLAWS = [None] * 5 + ["other p", "not a prime", "not a prime power"]
+
+
+@st.composite
+def compute_and_table_argvs(draw):
+    # F_q with q = p^f <= 4096 and the symbolic rings, p <= 13 half the
+    # time, with a flaw drawn
+    # from _RING_FLAWS; d small, at 200 and at 10^60; the degree mostly
+    # small, and up to one past MAX_DEGREE
+    p = draw(st.one_of(st.sampled_from(_PRIMES[:6]), st.sampled_from(_PRIMES)))
+    q = p ** draw(st.integers(1, max(f for f in range(1, 13) if p**f <= 4096)))
+    ring = draw(st.sampled_from([f"Fq:{q}", f"Fq:{q}", f"perfect:k:{p}", f"perfectoid:R:{p}",
+                                 f"zpcycl:{p}"]))
+    given_p, flaw = p, draw(st.sampled_from(_RING_FLAWS))
+    if flaw == "other p":
+        given_p = draw(st.sampled_from(_PRIMES).filter(lambda other: other != p))
+    elif flaw == "not a prime":
+        given_p = draw(st.sampled_from([1, 4, 4096]))
+    elif flaw == "not a prime power":
+        ring = f"Fq:{draw(st.sampled_from([1, 6, 12, 1000, 4095]))}"
+    d = draw(st.one_of(st.integers(1, 6), st.sampled_from([0, 200, 10**60])))
+    command, bound = draw(st.sampled_from([("compute", "--degree"), ("table", "--max-degree")]))
+    degree = draw(st.one_of(st.integers(-3, 12), st.integers(-3, 201)))
+    variant = draw(st.sampled_from([[], ["--variant", "square"], ["--variant", "axes"],
+                                    ["--variant", "dual"]]))
+    integral = draw(st.sampled_from([[]] * 3 + [["--integral"]]))
+    quillen = draw(st.sampled_from([[], ["--quillen-exponent", "standard"],
+                                    ["--quillen-exponent", "paper"]]))
+    fmt = draw(st.sampled_from(["text", "json", "latex"]))
+    return [command, "--p", str(given_p), "--d", str(d), "--ring", ring, *variant, *integral,
+            *quillen, bound, str(degree), "--format", fmt]
+
+
+# the largest table in the advertised range
+@example(["table", "--p", "2", "--d", "200", "--ring", "Fq:4096", "--integral",
+          "--quillen-exponent", "paper", "--max-degree", "200", "--format", "json"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(compute_and_table_argvs())
+def test_every_compute_and_table_argv_answers_or_fails_cleanly(argv):
+    _answers_or_fails_cleanly(argv)
 
 
 @pytest.mark.parametrize("command", ["compute --degree 3", "table --max-degree 3"])
@@ -850,7 +933,8 @@ def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(*args):
         raise InternalError("Mobius sum 7 not divisible by s=2")
 
-    monkeypatch.setattr(kax.kcalc, "relative_k", broken)
+    # the word count that assembly calls, where that error is raised
+    monkeypatch.setattr(kax.kcalc, "count_aperiodic", broken)
     assert main(["compute", "--p", "3", "--d", "2", "--ring", "Fq:3", "--degree", "4"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

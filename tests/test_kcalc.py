@@ -15,10 +15,10 @@ from kax.kcalc import (
     _run_shape,
     _steps,
     axes_relative_k,
-    dual_numbers_k,
     group_expr_from_dict,
     group_expr_to_dict,
     integral_k_finite_field,
+    k_group,
     normalize_for_roundtrip,
     order,
     order_exponent,
@@ -140,12 +140,49 @@ def test_axes_degree_2_is_the_birelative_tensor_product(q):
 
 
 def test_dual_numbers():
-    e = dual_numbers_k(F3, 3)
+    e = k_group(F3, 1, 3, "dual")
     assert order(e) == 9
-    e = dual_numbers_k(F2, 3)
+    e = k_group(F2, 1, 3, "dual")
     assert order(e) == 4
     for ring in (F2, F3):
-        assert dual_numbers_k(ring, 2).is_trivial
+        assert k_group(ring, 1, 2, "dual").is_trivial
+
+
+def _outcome(function, *args, **kwargs):
+    # a row with its wire entries, or the ValueError it raised
+    try:
+        row = function(*args, **kwargs)
+    except ValueError as exc:
+        return "raises", str(exc)
+    return row, row._entries
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_named_functions_are_k_group_at_their_variant(q):
+    ring = RingSpec.from_q(q)
+    for d in (1, 2, 3):
+        for degree in range(-3, 41):
+            for limit in (None, 0, 7):
+                cell = (q, d, degree, limit)
+                assert _outcome(relative_k, ring, d, degree, limit) == _outcome(
+                    k_group, ring, d, degree, m_prime_limit=limit), cell
+                assert _outcome(axes_relative_k, ring, d, degree, limit) == _outcome(
+                    k_group, ring, d, degree, "axes", m_prime_limit=limit), cell
+                for convention in ("standard", "paper"):
+                    assert _outcome(integral_k_finite_field, q, d, degree, convention,
+                                    limit) == _outcome(k_group, ring, d, degree, "integral",
+                                                       convention, limit), cell
+
+
+@pytest.mark.parametrize("ring", (F2, F3, F4, F9, RingSpec("perfectoid", 3, name="R")))
+def test_dual_numbers_are_d_1_for_every_d(ring):
+    # the dual numbers take d = 1 whatever d says, but not a d below 1
+    for degree in range(-3, 41):
+        want = _outcome(k_group, ring, 1, degree)
+        for d in (1, 2, 3, 7, 200, 10**60):
+            assert _outcome(k_group, ring, d, degree, "dual") == want, (ring, d, degree)
+        for d in (0, -3):
+            assert _outcome(k_group, ring, d, degree, "dual") == ("raises", "d must be >= 1")
 
 
 def _witt_lengths(expr, ring):
@@ -310,16 +347,6 @@ def _assert_table_json_matches_reference(rows):
     assert json.dumps([group_expr_to_dict(e) for e in rows]) == want
 
 
-def _per_degree(ring, variant, d, degree):
-    if variant == "square":
-        return relative_k(ring, d, degree)
-    if variant == "axes":
-        return axes_relative_k(ring, d, degree)
-    if variant == "dual":
-        return dual_numbers_k(ring, degree)
-    return integral_k_finite_field(ring.q, d, degree)
-
-
 def _assert_table_matches_per_degree(ring_text, variant, d, max_degree):
     """Rows equal the per-degree functions, and both serialise as the
     reference does, also when serialised a second time from cached entries."""
@@ -328,7 +355,7 @@ def _assert_table_matches_per_degree(ring_text, variant, d, max_degree):
     assert len(rows) == max_degree + 1
     for degree, row in enumerate(rows):
         cell = (ring_text, variant, d, degree)
-        per_degree = _per_degree(ring, variant, d, degree)
+        per_degree = k_group(ring, d, degree, variant)
         assert row == per_degree, cell
         want = _reference_to_dict(row)
         for expr in (row, row, per_degree, per_degree):
@@ -414,22 +441,17 @@ def test_table_rows_equal_reference_assembly(ring, variant, d, max_degree):
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9))
 def test_per_degree_functions_equal_reference_assembly_with_limits(q):
     ring = RingSpec.from_q(q)
-    functions = {
-        "square": lambda d, degree, limit: relative_k(ring, d, degree, limit),
-        "axes": lambda d, degree, limit: axes_relative_k(ring, d, degree, limit),
-        "integral": lambda d, degree, limit: integral_k_finite_field(
-            q, d, degree, m_prime_limit=limit),
-    }
     for d in (1, 2, 3):
         for degree in range(91):
-            for variant, function in functions.items():
+            for variant in ("square", "axes", "integral"):
                 full = _reference_expr(ring, variant, d, degree)
                 for limit in {0, 1, degree // 3, degree - 1, degree, 2 * degree}:
                     # a limit keeps the factors with m' <= limit, the Quillen
                     # summands (no m') always
                     want = full._replace(factors=tuple(
                         f for f in full.factors if f.m_prime is None or f.m_prime <= limit))
-                    assert function(d, degree, limit) == want, (q, variant, d, degree, limit)
+                    assert k_group(ring, d, degree, variant, m_prime_limit=limit) == want, (
+                        q, variant, d, degree, limit)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
@@ -517,7 +539,7 @@ def test_no_assembly_reads_a_window(monkeypatch):
         for variant in ("square", "axes", "dual"):
             assert len(table(spec, 3, 200, variant)) == 201
         for degree in range(201):
-            assert dual_numbers_k(spec, degree).degree == degree
+            assert k_group(spec, 1, degree, "dual").degree == degree
             for limit in (None, 0, 7, 50):
                 assert relative_k(spec, 3, degree, limit).degree == degree
                 assert axes_relative_k(spec, 3, degree, limit).degree == degree
@@ -549,7 +571,7 @@ def test_negative_degrees_are_empty_rows(degree):
     for ring in (F3, F4, RingSpec("perfectoid", 3, name="R")):
         complete = "p-complete" if ring.is_symbolic else "integral-because-p-power-torsion"
         want = GroupExpr(degree, ring.p, complete, ())
-        rows = [dual_numbers_k(ring, degree)]
+        rows = [k_group(ring, 1, degree, "dual")]
         for limit in (None, 0, -1, 5):
             rows += [relative_k(ring, 2, degree, limit), axes_relative_k(ring, 2, degree, limit)]
         for row in rows:
