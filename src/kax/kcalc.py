@@ -252,10 +252,10 @@ def _rows(ring: RingSpec, d: int, variant: str, degrees: range,
     """The GroupExpr of each degree in degrees, carrying its wire entries: the
     one map from a variant to its word count, its d (the dual numbers are
     d = 1) and its Quillen summands, for table() and k_group() alike.  Each
-    parity of degrees steps its running
-    row by _steps from the empty row, so a single degree n, range(n, n + 1, 2),
-    steps n's parity alone; a run whose m' is above m_prime_limit stays empty,
-    and a run that a later step replaces before degrees' first is not built."""
+    parity of degrees steps its running row by _steps from the empty row, so
+    a single degree n, range(n, n + 1, 2), steps n's parity alone; a run
+    whose m' is above m_prime_limit stays empty, and a run that a later step
+    replaces before degrees' first is not built."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     counter = count_axes if variant == "axes" else count_aperiodic
